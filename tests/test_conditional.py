@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -203,13 +204,31 @@ def test_quadrature_agrees_on_spot_cells():
 
 
 def test_surface_single_cell_matches_conditional_mu():
-    cells = ce.bias_surface([0.345], [0.0], sigma=0.3, T=1.0, direction=ABOVE)
-    assert len(cells) == 1
-    cell = cells[0]
-    reference = ce.conditional_mu(q(nu=0.3))
-    assert cell.expectation == reference.expectation
-    assert cell.bias == reference.bias
-    assert cell.flag == "ok"
+    # Every cell of the golden 21 x 21 grid, in both directions, against
+    # the scalar path: ok cells bit for bit, flagged cells must be the ones
+    # the scalar path rejects. No warning may escape either path.
+    grid = np.linspace(-1.0, 1.0, 21)
+    sigma = 0.045
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for direction in (ABOVE, BELOW):
+            cells = ce.bias_surface(grid, grid, sigma=sigma, T=1.0, direction=direction)
+            assert len(cells) == grid.size**2
+            flagged = 0
+            for cell in cells:
+                nu = cell.mu - 0.5 * sigma * sigma
+                query = q(nu=nu, sigma=sigma, C=cell.C, direction=direction)
+                if cell.flag == "degenerate":
+                    flagged += 1
+                    assert math.isnan(cell.expectation) and math.isnan(cell.bias)
+                    with pytest.raises(DegenerateConditionError):
+                        ce.conditional_mu(query)
+                    continue
+                assert cell.flag == "ok"
+                reference = ce.conditional_mu(query)
+                assert cell.expectation == reference.expectation
+                assert cell.bias == reference.bias
+            assert flagged == 10
 
 
 def test_surface_monotone_in_threshold():

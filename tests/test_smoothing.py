@@ -135,3 +135,22 @@ def test_fit_alpha_default_grid():
     assert smoothing.DEFAULT_FIT_GRID[0] == 0.05
     assert smoothing.DEFAULT_FIT_GRID[-1] == 0.95
     assert len(smoothing.DEFAULT_FIT_GRID) == 19
+
+
+def per_alpha_fit(y, grid):
+    """Reference fit: one smooth() per candidate, first strict minimum wins."""
+    best = None
+    for alpha in sorted(grid):
+        errors = np.asarray(y) - smoothing.smooth(y, smoothing.SmoothingConfig(alpha)).forecasts[:-1]
+        sse = float(errors @ errors)
+        if best is None or sse < best[1]:
+            best = (alpha, sse)
+    return best
+
+
+@given(st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=120))
+def test_fit_alpha_matches_per_alpha_reference(y):
+    alpha, sse = smoothing.fit_alpha(y)
+    ref_alpha, ref_sse = per_alpha_fit(y, smoothing.DEFAULT_FIT_GRID)
+    assert alpha == ref_alpha
+    assert sse == pytest.approx(ref_sse, rel=1e-12, abs=0.0)
