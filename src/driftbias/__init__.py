@@ -5,130 +5,22 @@ formed only after observing a favorable return (a return-chasing rule),
 and provides smoothing-based corrections plus residual diagnostics.
 """
 
-from .conditional import (
-    ConditionalQuery,
-    ConditionalResult,
-    Direction,
-    MonteCarloEstimate,
-    SurfaceCell,
-    asymptotic_limit,
-    bias_surface,
-    conditional_mu,
-    conditional_nu,
-    conditional_nu_quadrature,
-    monte_carlo_conditional,
-    surface_csv,
-    tail_probability,
-)
-from .diagnostics import AcfResult, LjungBoxResult, acf_pacf, ljung_box
-from .errors import (
-    DegenerateConditionError,
-    DegenerateVarianceError,
-    DriftBiasError,
-    InsufficientDataError,
-    ParseError,
-)
-from .gbm import (
-    EstimateResult,
-    GbmParams,
-    PricePath,
-    ReturnSeries,
-    annualize,
-    estimate_unconditional,
-    log_returns,
-    read_price_csv,
-    simulate_gbm,
-    substream,
-    write_price_csv,
-)
-from .pipeline import (
-    ForecastReport,
-    PeriodRecord,
-    PipelineConfig,
-    StockDataset,
-    build_period_records,
-    capm_benchmark,
-    es_adjust,
-    ingest,
-    load_config,
-    next_raw_forecast,
-    parse_config,
-    report_csv,
-    score_and_report,
-    score_portfolio,
-    score_records,
-    simple_adjust,
-    split_holdout,
-    sum_squared_deviations,
-)
-from .smoothing import (
-    DEFAULT_ALPHA,
-    SmoothedSeries,
-    SmoothingConfig,
-    fit_alpha,
-    smooth,
-    weight_expansion,
-)
+from . import conditional, diagnostics, errors, gbm, pipeline, smoothing
+from .conditional import *
+from .diagnostics import *
+from .errors import *
+from .gbm import *
+from .pipeline import *
+from .smoothing import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcfResult",
-    "ConditionalQuery",
-    "ConditionalResult",
-    "DEFAULT_ALPHA",
-    "DegenerateConditionError",
-    "DegenerateVarianceError",
-    "Direction",
-    "DriftBiasError",
-    "EstimateResult",
-    "ForecastReport",
-    "GbmParams",
-    "InsufficientDataError",
-    "LjungBoxResult",
-    "MonteCarloEstimate",
-    "ParseError",
-    "PeriodRecord",
-    "PipelineConfig",
-    "PricePath",
-    "ReturnSeries",
-    "SmoothedSeries",
-    "SmoothingConfig",
-    "StockDataset",
-    "SurfaceCell",
-    "acf_pacf",
-    "annualize",
-    "asymptotic_limit",
-    "bias_surface",
-    "build_period_records",
-    "capm_benchmark",
-    "conditional_mu",
-    "conditional_nu",
-    "conditional_nu_quadrature",
-    "es_adjust",
-    "estimate_unconditional",
-    "fit_alpha",
-    "ingest",
-    "ljung_box",
-    "load_config",
-    "log_returns",
-    "monte_carlo_conditional",
-    "next_raw_forecast",
-    "parse_config",
-    "read_price_csv",
-    "report_csv",
-    "score_and_report",
-    "score_portfolio",
-    "score_records",
-    "simple_adjust",
-    "simulate_gbm",
-    "smooth",
-    "split_holdout",
-    "substream",
-    "sum_squared_deviations",
-    "surface_csv",
-    "tail_probability",
-    "weight_expansion",
-    "write_price_csv",
+    *conditional.__all__,
+    *diagnostics.__all__,
+    *errors.__all__,
+    *gbm.__all__,
+    *pipeline.__all__,
+    *smoothing.__all__,
     "__version__",
 ]

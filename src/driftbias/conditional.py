@@ -23,10 +23,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DegenerateConditionError
 
@@ -37,7 +38,6 @@ __all__ = [
     "MILLS_GUARD",
     "conditional_nu",
     "conditional_mu",
-    "tail_probability",
     "asymptotic_limit",
     "monte_carlo_conditional",
     "conditional_nu_quadrature",
@@ -76,12 +76,9 @@ class ConditionalQuery:
     direction: Direction
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not self.T > 0:
-            raise ValueError(f"T must be positive, got {self.T}")
-        if not isinstance(self.direction, Direction):
-            raise ValueError(f"direction must be a Direction, got {self.direction!r}")
+        if not (math.isfinite(self.nu) and math.isfinite(self.C)):
+            raise ValueError(f"nu and C must be finite, got nu = {self.nu}, C = {self.C}")
+        _check_scale(self.sigma, self.T, self.direction)
 
     @property
     def mills_argument(self) -> float:
@@ -117,27 +114,42 @@ class SurfaceCell(NamedTuple):
     flag: str
 
 
-def _hazard(d: float) -> float:
-    """Inverse Mills ratio phi(d) / (1 - Phi(d)).
+def _check_scale(sigma: float, T: float, direction: Direction) -> None:
+    """Checks shared by ConditionalQuery and bias_surface."""
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T}")
+    if math.isinf(sigma) or math.isinf(T):
+        raise ValueError(f"sigma and T must be finite, got sigma = {sigma}, T = {T}")
+    if not isinstance(direction, Direction):
+        raise ValueError(f"direction must be a Direction, got {direction!r}")
 
-    Written as sqrt(2/pi) / erfcx(d / sqrt(2)): the scaled complementary
-    error function absorbs the exp(-d*d/2) factor, so the ratio neither
-    underflows for large positive d nor cancels for negative d. erfcx
-    overflows to inf below roughly -26.6, where the hazard correctly
-    rounds to 0.0.
+
+def _closed_form(
+    nu: float | np.ndarray, sigma: float, T: float, C: float | np.ndarray, direction: Direction
+):
+    """The module docstring's formula for floats or for arrays of nu and C.
+
+    z = d for ABOVE and -d for AT_OR_BELOW measures the threshold into the
+    conditioned side, so the event probability is Phi(-z) and the inverse
+    Mills ratio phi(z) / Phi(-z) is sqrt(2/pi) / erfcx(z / sqrt(2)). The
+    scaled complementary error function absorbs the exp(-z*z/2) factor, so
+    the ratio neither underflows for large positive z nor cancels for
+    negative z; erfcx overflows to inf below about -26.6, where the ratio
+    correctly rounds to 0.0. The sign flips are exact. Only operators and
+    ufuncs touch nu and C; sigma and T are scalars.
+
+    Returns:
+        (expectation, event probability, d, degenerate), where degenerate
+        marks |d| > MILLS_GUARD on the conditioned side.
     """
-    return float(_SQRT_2_OVER_PI / special.erfcx(d / _SQRT_2))
-
-
-def _check_not_degenerate(q: ConditionalQuery, d: float) -> None:
-    if q.direction is Direction.ABOVE and d > MILLS_GUARD:
-        raise DegenerateConditionError(
-            f"event R_T > C has zero probability in double precision (d = {d:.6g})"
-        )
-    if q.direction is Direction.AT_OR_BELOW and d < -MILLS_GUARD:
-        raise DegenerateConditionError(
-            f"event R_T <= C has zero probability in double precision (d = {d:.6g})"
-        )
+    side = 1.0 if direction is Direction.ABOVE else -1.0
+    d = (C - nu * T) / (sigma * math.sqrt(T))
+    z = side * d
+    inverse_mills = _SQRT_2_OVER_PI / special.erfcx(z / _SQRT_2)
+    expectation = nu + side * (sigma / math.sqrt(T)) * inverse_mills
+    return expectation, special.ndtr(-z), d, z > MILLS_GUARD
 
 
 def conditional_nu(q: ConditionalQuery) -> ConditionalResult:
@@ -155,18 +167,16 @@ def conditional_nu(q: ConditionalQuery) -> ConditionalResult:
         DegenerateConditionError: the conditioning event has probability
             0.0 in double precision (|d| > MILLS_GUARD on the wrong side).
     """
-    d = q.mills_argument
-    _check_not_degenerate(q, d)
-    scale = q.sigma / math.sqrt(q.T)
-    if q.direction is Direction.ABOVE:
-        prob = float(special.ndtr(-d))
-        expectation = q.nu + scale * _hazard(d)
-    else:
-        prob = float(special.ndtr(d))
-        expectation = q.nu - scale * _hazard(-d)
+    expectation, prob, d, degenerate = _closed_form(q.nu, q.sigma, q.T, q.C, q.direction)
+    if degenerate:
+        event = "R_T > C" if q.direction is Direction.ABOVE else "R_T <= C"
+        raise DegenerateConditionError(
+            f"event {event} has zero probability in double precision (d = {d:.6g})"
+        )
+    expectation = float(expectation)
     return ConditionalResult(
         expectation=expectation,
-        tail_probability=prob,
+        tail_probability=float(prob),
         bias=expectation - q.nu,
         mills_argument=d,
     )
@@ -186,18 +196,6 @@ def conditional_mu(q: ConditionalQuery) -> ConditionalResult:
         bias=base.bias,
         mills_argument=base.mills_argument,
     )
-
-
-def tail_probability(q: ConditionalQuery) -> float:
-    """Probability of the conditioning event, accurate in both tails.
-
-    Uses the complementary normal CDF directly (Phi(-d) for ABOVE), so
-    there is no catastrophic cancellation for large |d|.
-    """
-    d = q.mills_argument
-    if q.direction is Direction.ABOVE:
-        return float(special.ndtr(-d))
-    return float(special.ndtr(d))
 
 
 def asymptotic_limit(nu: float, direction: Direction) -> float:
@@ -263,8 +261,10 @@ def conditional_nu_quadrature(q: ConditionalQuery) -> float:
     cross-check of the Mills-ratio closed form; it is orders of magnitude
     slower and numerically worse.
     """
+    from scipy import integrate  # only this oracle needs it; keeps import driftbias lighter
+
+    prob = conditional_nu(q).tail_probability  # raises on a degenerate event
     d = q.mills_argument
-    _check_not_degenerate(q, d)
     mean = q.nu * q.T
     spread2 = q.sigma * q.sigma * q.T
 
@@ -286,10 +286,8 @@ def conditional_nu_quadrature(q: ConditionalQuery) -> float:
         return total
 
     if q.direction is Direction.ABOVE:
-        prob = float(special.ndtr(-d))
         bracket = q.sigma * math.exp(-0.5 * d * d) + (q.nu / q.sigma) * integral(q.C, math.inf)
     else:
-        prob = float(special.ndtr(d))
         bracket = -q.sigma * math.exp(-0.5 * d * d) + (q.nu / q.sigma) * integral(-math.inf, q.C)
     return bracket / (math.sqrt(2.0 * math.pi * q.T) * prob)
 
@@ -315,17 +313,24 @@ def bias_surface(
     c_values = [float(c) for c in C_grid]
     if not mu_values or not c_values:
         raise ValueError("mu_grid and C_grid must be non-empty")
+    if not (np.isfinite(mu_values).all() and np.isfinite(c_values).all()):
+        raise ValueError("mu_grid and C_grid must be finite")
+    _check_scale(sigma, T, direction)
+    c_array = np.array(c_values)
+    half_variance = 0.5 * sigma * sigma
+    flags = ("ok", "degenerate")
     cells = []
+    # One closed-form call per row: a whole-grid call holds several
+    # grid-sized temporaries at once, and cells share the row's mu, the
+    # C values and the flag strings instead of owning copies.
     for mu in mu_values:
-        nu = mu - 0.5 * sigma * sigma
-        for c in c_values:
-            query = ConditionalQuery(nu=nu, sigma=sigma, T=T, C=c, direction=direction)
-            try:
-                result = conditional_mu(query)
-            except DegenerateConditionError:
-                cells.append(SurfaceCell(mu, c, math.nan, math.nan, "degenerate"))
-            else:
-                cells.append(SurfaceCell(mu, c, result.expectation, result.bias, "ok"))
+        nu = mu - half_variance
+        expectation, _, _, degenerate = _closed_form(nu, sigma, T, c_array, direction)
+        bias = expectation - nu
+        expectation += half_variance
+        expectation[degenerate] = bias[degenerate] = math.nan
+        flagged = map(flags.__getitem__, degenerate.tolist())
+        cells.extend(map(SurfaceCell, repeat(mu), c_values, expectation.tolist(), bias.tolist(), flagged))
     return cells
 
 

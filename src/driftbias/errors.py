@@ -5,6 +5,14 @@ malformed flags); the classes below cover the domain failures that callers
 may want to handle separately from argument mistakes.
 """
 
+__all__ = [
+    "DriftBiasError",
+    "InsufficientDataError",
+    "DegenerateConditionError",
+    "DegenerateVarianceError",
+    "ParseError",
+]
+
 
 class DriftBiasError(Exception):
     """Base class for domain errors raised by this package."""

@@ -28,7 +28,6 @@ __all__ = [
     "substream",
     "log_returns",
     "estimate_unconditional",
-    "annualize",
     "write_price_csv",
     "read_price_csv",
 ]
@@ -206,15 +205,8 @@ def estimate_unconditional(series: ReturnSeries) -> EstimateResult:
         raise InsufficientDataError(f"variance estimation needs n >= 2 returns, got {n}")
     T = series.duration
     nu_hat = series.total / T
-    sigma2_hat = annualize(float(np.var(series.returns, ddof=1)), series.step_h)
+    sigma2_hat = float(np.var(series.returns, ddof=1)) / series.step_h
     return EstimateResult(nu_hat=nu_hat, sigma2_hat=sigma2_hat, n=n, T=T)
-
-
-def annualize(value_per_step: float, step_h: float) -> float:
-    """Convert a per-step quantity to a per-year rate."""
-    if not step_h > 0:
-        raise ValueError(f"step_h must be positive, got {step_h}")
-    return value_per_step / step_h
 
 
 def write_price_csv(path: PricePath) -> str:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import datetime
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "build_period_records",
     "simple_adjust",
     "es_adjust",
-    "sum_squared_deviations",
     "next_raw_forecast",
     "score_records",
     "score_and_report",
@@ -82,6 +81,8 @@ class PipelineConfig:
             )
         if self.benchmark_mode == "constant" and self.constant_c is None:
             raise ValueError("benchmark_mode 'constant' requires constant_c")
+        if self.constant_c is not None and not math.isfinite(self.constant_c):
+            raise ValueError(f"constant_c must be finite, got {self.constant_c}")
 
 
 @dataclass(frozen=True)
@@ -273,11 +274,6 @@ def es_adjust(
         record.nu_tilde - float(forecast)
         for record, forecast in zip(records, smoothed.forecasts)
     ]
-
-
-def sum_squared_deviations(records: Iterable[PeriodRecord]) -> float:
-    """SSD of the raw forecasts, sum of bias**2 over the records."""
-    return float(sum(record.bias * record.bias for record in records))
 
 
 def next_raw_forecast(records: Sequence[PeriodRecord]) -> tuple[float, bool]:
@@ -514,10 +510,9 @@ def _read_prices(path: str) -> dict[str, dict[int, list[float]]]:
             raise ParseError(
                 f"{path}: line {lineno}, column 3: invalid price '{cells[2].strip()}'"
             ) from None
-        if close <= 0:
-            raise ParseError(
-                f"{path}: line {lineno}: price must be strictly positive, got {close}"
-            )
+        if not 0 < close < math.inf:
+            requirement = "strictly positive" if close <= 0 else "finite"
+            raise ParseError(f"{path}: line {lineno}: price must be {requirement}, got {close}")
         key = (stock_id, date)
         if previous_key is not None and key <= previous_key:
             raise ParseError(

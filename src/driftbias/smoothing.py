@@ -127,15 +127,17 @@ def fit_alpha(
     y = np.asarray(observations, dtype=float)
     if y.size < 3:
         raise InsufficientDataError(f"fitting alpha needs at least 3 observations, got {y.size}")
-    candidates = sorted(float(a) for a in grid)
-    if not candidates:
+    alphas = np.sort(np.array(grid, dtype=float))
+    if alphas.size == 0:
         raise ValueError("alpha grid must be non-empty")
-    best_alpha = None
-    best_sse = None
-    for alpha in candidates:
-        series = smooth(y, SmoothingConfig(alpha=alpha))
-        errors = y - series.forecasts[:-1]
-        sse = float(errors @ errors)
-        if best_sse is None or sse < best_sse:
-            best_alpha, best_sse = alpha, sse
-    return best_alpha, best_sse
+    # smooth()'s recurrence for every candidate at once, one row each.
+    keep = 1.0 - alphas
+    forecasts = np.empty((alphas.size, y.size))
+    forecasts[:, 0] = y[0]
+    for k in range(1, y.size):
+        forecasts[:, k] = alphas * y[k - 1] + keep * forecasts[:, k - 1]
+    errors = y - forecasts
+    # argmin returns the first minimum: the smallest alpha among ties.
+    sse = np.vecdot(errors, errors)
+    best = int(np.argmin(sse))
+    return float(alphas[best]), float(sse[best])

@@ -12,8 +12,9 @@ their limit like sigma**2 / (|nu| * T), which is about 9e-5 at T = 1e4
 for sigma = 0.3, nu = -0.1. No correct implementation can push that
 below 1e-6 at this horizon, so those branches assert strict decrease
 plus the algebraic envelope 2 * sigma**2 / (|nu| * T) instead; the fast
-branches keep the 1e-6 endpoint. See notes/decisions.md in the project
-root for the derivation.
+branches keep the 1e-6 endpoint. The envelope: with C = 0 the gap is
+(sigma/sqrt(T)) * (lambda(d) - d) for d = |nu|*sqrt(T)/sigma and lambda the
+inverse Mills ratio, and d < lambda(d) < d + 1/d bounds it by sigma**2/(|nu|*T).
 """
 
 from __future__ import annotations

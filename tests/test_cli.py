@@ -1,3 +1,4 @@
+import os
 import pathlib
 import subprocess
 import sys
@@ -245,3 +246,64 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[1] == "0.3,above,0.3"
+
+
+def test_pipeline_rejects_non_finite_close(capsys, tmp_path):
+    lines = (FIXTURES / "prices.csv").read_text().splitlines()
+    for bad in ("inf", "nan"):
+        stock_id, date, _ = lines[99].split(",")
+        edited = lines[:99] + [f"{stock_id},{date},{bad}"] + lines[100:]
+        prices = tmp_path / f"prices_{bad}.csv"
+        prices.write_text("\n".join(edited) + "\n")
+        code, out, err = run_cli(
+            capsys,
+            "pipeline",
+            "--prices", str(prices),
+            "--capm", str(FIXTURES / "capm.csv"),
+            "--config", str(FIXTURES / "pipeline.cfg"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {prices}: line 100: price must be finite, got {bad}\n"
+
+
+def test_pipeline_rejects_non_finite_constant_c(capsys, tmp_path):
+    config = tmp_path / "pipeline.cfg"
+    config.write_text("benchmark_mode = constant\nconstant_c = nan\n")
+    code, out, err = run_cli(
+        capsys,
+        "pipeline",
+        "--prices", str(FIXTURES / "prices.csv"),
+        "--capm", str(FIXTURES / "capm.csv"),
+        "--config", str(config),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: config: constant_c must be finite, got nan\n"
+
+
+def test_conditional_rejects_non_finite_arguments(capsys):
+    for nu, sigma in (("nan", "0.3"), ("0", "inf")):
+        code, out, err = run_cli(
+            capsys,
+            "conditional",
+            "--nu", nu, "--sigma", sigma, "--T", "1", "--C", "0",
+            "--direction", "above",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # Only the quadrature oracle needs scipy.integrate; loading it at
+    # import would slow every cold start of the CLI.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, driftbias; print('scipy.integrate' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

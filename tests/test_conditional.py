@@ -38,6 +38,17 @@ def test_query_validation():
         q(T=-1.0)
     with pytest.raises(ValueError):
         ce.ConditionalQuery(nu=0.0, sigma=0.3, T=1.0, C=0.0, direction="above")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            q(nu=bad)
+        with pytest.raises(ValueError, match="finite"):
+            q(C=bad)
+    with pytest.raises(ValueError, match="finite"):
+        q(sigma=math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        q(T=math.inf)
+    with pytest.raises(ValueError, match="sigma must be positive, got nan"):
+        q(sigma=math.nan)
 
 
 def test_mills_argument():
@@ -80,24 +91,24 @@ def test_conditional_mu_bias_matches_nu_bias(query):
     assert ce.conditional_mu(query).bias == ce.conditional_nu(query).bias
 
 
+def tail_probability(query):
+    return ce.conditional_nu(query).tail_probability
+
+
 def test_tail_probability_at_median():
-    assert ce.tail_probability(q(nu=0.1, C=0.1)) == 0.5
-    assert ce.tail_probability(q(nu=0.1, C=0.1, direction=BELOW)) == 0.5
+    assert tail_probability(q(nu=0.1, C=0.1)) == 0.5
+    assert tail_probability(q(nu=0.1, C=0.1, direction=BELOW)) == 0.5
 
 
 def test_tail_probability_one_sd():
-    assert ce.tail_probability(q(C=0.3)) == pytest.approx(1.0 - PHI_1, rel=1e-12)
-    assert ce.tail_probability(q(C=0.3, direction=BELOW)) == pytest.approx(PHI_1, rel=1e-12)
+    assert tail_probability(q(C=0.3)) == pytest.approx(1.0 - PHI_1, rel=1e-12)
+    assert tail_probability(q(C=0.3, direction=BELOW)) == pytest.approx(PHI_1, rel=1e-12)
 
 
 @given(queries)
 def test_tail_probabilities_complement(query):
-    above = ce.tail_probability(
-        ce.ConditionalQuery(query.nu, query.sigma, query.T, query.C, ABOVE)
-    )
-    below = ce.tail_probability(
-        ce.ConditionalQuery(query.nu, query.sigma, query.T, query.C, BELOW)
-    )
+    above = tail_probability(ce.ConditionalQuery(query.nu, query.sigma, query.T, query.C, ABOVE))
+    below = tail_probability(ce.ConditionalQuery(query.nu, query.sigma, query.T, query.C, BELOW))
     assert above + below == pytest.approx(1.0, abs=1e-15)
 
 

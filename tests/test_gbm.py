@@ -125,14 +125,6 @@ def test_estimate_needs_two_returns():
         gbm.estimate_unconditional(series)
 
 
-def test_annualize():
-    assert gbm.annualize(0.0, 0.5) == 0.0
-    assert gbm.annualize(0.0004, 1.0 / 252.0) == pytest.approx(0.1008, rel=1e-12)
-    assert gbm.annualize(1.7, 1.0) == 1.7
-    with pytest.raises(ValueError):
-        gbm.annualize(1.0, 0.0)
-
-
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n=st.integers(min_value=2, max_value=64),
