@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import conditional, diagnostics, gbm, pipeline, smoothing
+from ._csv import finite, read_rows
 from .errors import (
     DegenerateConditionError,
     DegenerateVarianceError,
@@ -128,10 +129,7 @@ def run(argv: Sequence[str]) -> int:
     except (DegenerateConditionError, InsufficientDataError, DegenerateVarianceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
@@ -150,19 +148,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read_value_column(path: str) -> list[float]:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in handle.read().splitlines() if line.strip()]
-    if not lines:
-        raise ParseError(f"{path}: empty input")
-    if lines[0].strip() != "value":
-        raise ParseError(f"{path}: line 1: expected header 'value'")
-    values = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            values.append(float(line))
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno}: invalid value '{line.strip()}'") from None
-    return values
+    return [finite(path, lineno, cells, 0, "value") for lineno, cells in read_rows(path, "value")]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
@@ -174,8 +160,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 def _cmd_estimate(args: argparse.Namespace) -> None:
     if not args.h_per_year > 0:
         raise ValueError(f"--h-per-year must be positive, got {args.h_per_year}")
-    with open(args.prices, "r", encoding="utf-8") as handle:
-        path = gbm.read_price_csv(handle.read(), step_h=1.0 / args.h_per_year)
+    path = gbm.read_price_csv(args.prices, step_h=1.0 / args.h_per_year)
     estimate = gbm.estimate_unconditional(gbm.log_returns(path))
     _emit(
         "nu_hat,sigma2_hat,n,T\n"

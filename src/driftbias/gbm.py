@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from ._csv import finite, invalid, read_rows
+from .errors import InsufficientDataError, ParseError
 
 __all__ = [
     "GbmParams",
@@ -216,37 +217,26 @@ def write_price_csv(path: PricePath) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_price_csv(text: str, step_h: float, t0: float = 0.0) -> PricePath:
-    """Parse the ``date_index,price`` CSV format back into a PricePath.
+def read_price_csv(path: str, step_h: float, t0: float = 0.0) -> PricePath:
+    """Read a ``date_index,price`` CSV file into a PricePath.
 
     The CSV carries no time scale, so the step size is supplied by the
     caller.
     """
-    from .errors import ParseError
-
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ParseError("empty price CSV")
-    if lines[0].strip() != PRICE_CSV_HEADER:
-        raise ParseError(f"line 1: expected header '{PRICE_CSV_HEADER}', got '{lines[0].strip()}'")
-    prices = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise ParseError(f"line {lineno}: expected two columns, got {len(cells)}")
+    prices: list[float] = []
+    for lineno, cells in read_rows(path, PRICE_CSV_HEADER):
         try:
             index = int(cells[0])
-            price = float(cells[1])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        if index != lineno - 2:
-            raise ParseError(f"line {lineno}: date_index must count up from 0, got {index}")
+        except ValueError:
+            raise invalid(path, lineno, cells, 0, "date_index") from None
+        if index != len(prices):
+            raise ParseError(f"{path}: line {lineno}: date_index must count up from 0, got {index}")
+        price = finite(path, lineno, cells, 1, "price")
+        if price <= 0:
+            raise ParseError(f"{path}: line {lineno}: price must be strictly positive, got {price}")
         prices.append(price)
     if len(prices) < 2:
-        raise ParseError("a price CSV needs at least two rows")
-    if min(prices) <= 0:
-        bad = next(i for i, p in enumerate(prices) if p <= 0)
-        raise ParseError(f"line {bad + 2}: prices must be strictly positive, got {prices[bad]}")
+        raise ParseError(f"{path}: a price CSV needs at least two rows")
     return PricePath(t0=t0, step_h=step_h, prices=np.asarray(prices))
 
 

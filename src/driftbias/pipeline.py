@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._csv import finite, invalid, read_rows
 from .conditional import ConditionalQuery, Direction, conditional_nu
 from .errors import DegenerateConditionError, InsufficientDataError, ParseError
 from .gbm import PricePath, estimate_unconditional, log_returns
@@ -482,37 +483,19 @@ def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> list[Sto
 
 
 def _read_prices(path: str) -> dict[str, dict[int, list[float]]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    lines = [line for line in lines if line.strip()]
-    if not lines:
-        raise ParseError(f"{path}: empty price file")
-    if lines[0].strip() != PRICES_HEADER:
-        raise ParseError(f"{path}: line 1: expected header '{PRICES_HEADER}'")
     grouped: dict[str, dict[int, list[float]]] = {}
     previous_key: tuple[str, datetime.date] | None = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise ParseError(f"{path}: line {lineno}: expected 3 columns, got {len(cells)}")
+    for lineno, cells in read_rows(path, PRICES_HEADER):
         stock_id = cells[0].strip()
         if not stock_id:
             raise ParseError(f"{path}: line {lineno}, column 1: empty stock_id")
         try:
             date = datetime.date.fromisoformat(cells[1].strip())
         except ValueError:
-            raise ParseError(
-                f"{path}: line {lineno}, column 2: invalid ISO date '{cells[1].strip()}'"
-            ) from None
-        try:
-            close = float(cells[2])
-        except ValueError:
-            raise ParseError(
-                f"{path}: line {lineno}, column 3: invalid price '{cells[2].strip()}'"
-            ) from None
-        if not 0 < close < math.inf:
-            requirement = "strictly positive" if close <= 0 else "finite"
-            raise ParseError(f"{path}: line {lineno}: price must be {requirement}, got {close}")
+            raise invalid(path, lineno, cells, 1, "ISO date") from None
+        close = finite(path, lineno, cells, 2, "price")
+        if close <= 0:
+            raise ParseError(f"{path}: line {lineno}: price must be strictly positive, got {close}")
         key = (stock_id, date)
         if previous_key is not None and key <= previous_key:
             raise ParseError(
@@ -524,30 +507,19 @@ def _read_prices(path: str) -> dict[str, dict[int, list[float]]]:
 
 
 def _read_capm(path: str) -> dict[tuple[str, int], tuple[float, float, float]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    lines = [line for line in lines if line.strip()]
-    if not lines:
-        raise ParseError(f"{path}: empty CAPM file")
-    if lines[0].strip() != CAPM_HEADER:
-        raise ParseError(f"{path}: line 1: expected header '{CAPM_HEADER}'")
+    names = CAPM_HEADER.split(",")
     rows: dict[tuple[str, int], tuple[float, float, float]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 5:
-            raise ParseError(f"{path}: line {lineno}: expected 5 columns, got {len(cells)}")
+    for lineno, cells in read_rows(path, CAPM_HEADER):
         stock_id = cells[0].strip()
         try:
             year = int(cells[1])
-            beta = float(cells[2])
-            risk_free = float(cells[3])
-            market = float(cells[4])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        except ValueError:
+            raise invalid(path, lineno, cells, 1, "year") from None
+        values = tuple(finite(path, lineno, cells, k, names[k]) for k in (2, 3, 4))
         key = (stock_id, year)
         if key in rows:
             raise ParseError(f"{path}: line {lineno}: duplicate row for {stock_id}/{year}")
-        rows[key] = (beta, risk_free, market)
+        rows[key] = values
     return rows
 
 

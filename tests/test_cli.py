@@ -307,3 +307,88 @@ def test_import_leaves_scipy_integrate_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def run_pipeline(capsys, prices=FIXTURES / "prices.csv", capm=FIXTURES / "capm.csv"):
+    return run_cli(
+        capsys,
+        "pipeline",
+        "--prices", str(prices),
+        "--capm", str(capm),
+        "--config", str(FIXTURES / "pipeline.cfg"),
+    )
+
+
+def test_estimate_rejects_non_finite_price(capsys, tmp_path):
+    prices = tmp_path / "prices.csv"
+    prices.write_text("date_index,price\n0,100\n1,inf\n2,101\n")
+    code, out, err = run_cli(capsys, "estimate", "--prices", str(prices))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {prices}: line 3: price must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("bad, shown", [("nan", "nan"), ("inf", "inf"), ("1e400", "inf")])
+@pytest.mark.parametrize(
+    "command", [("smooth", "--alpha", "0.5"), ("diagnose", "--lags", "1")], ids=["smooth", "diagnose"]
+)
+def test_value_commands_reject_non_finite_values(capsys, tmp_path, command, bad, shown):
+    path = write_values(tmp_path, ["1.0", bad, "2.0"])
+    code, out, err = run_cli(capsys, command[0], "--input", path, *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: line 3: value must be finite, got {shown}\n"
+
+
+@pytest.mark.parametrize(
+    "column, bad, shown",
+    [
+        ("beta", "inf", "inf"),
+        ("risk_free", "nan", "nan"),
+        ("risk_free", "inf", "inf"),
+        ("market_return_expectation", "1e400", "inf"),
+    ],
+)
+def test_pipeline_rejects_non_finite_capm_field(capsys, tmp_path, column, bad, shown):
+    lines = (FIXTURES / "capm.csv").read_text().splitlines()
+    assert lines[3] == "100001,2011,0.8,0.029,0.07"
+    cells = lines[3].split(",")
+    cells[lines[0].split(",").index(column)] = bad
+    lines[3] = ",".join(cells)
+    capm = tmp_path / "capm.csv"
+    capm.write_text("\n".join(lines) + "\n")
+    code, out, err = run_pipeline(capsys, capm=capm)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {capm}: line 4: {column} must be finite, got {shown}\n"
+
+
+FILE = "{file}"
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["smooth", "--input", FILE], "value\n1.0\n\n\n2.0\noops\n",
+         "line 6, column 1: invalid value 'oops'"),
+        (["estimate", "--prices", FILE], "\n \ndate_index,price\n0,100\n\t\n1,abc\n",
+         "line 6, column 2: invalid price 'abc'"),
+        (["pipeline", "--prices", FILE, "--capm", str(FIXTURES / "capm.csv"),
+          "--config", str(FIXTURES / "pipeline.cfg")],
+         "stock_id,date,close\n100001,2009-01-01,20.0\n\n\n100001,2009-01-02,oops\n",
+         "line 5, column 3: invalid price 'oops'"),
+        (["pipeline", "--prices", str(FIXTURES / "prices.csv"), "--capm", FILE,
+          "--config", str(FIXTURES / "pipeline.cfg")],
+         "\nstock_id,year,beta,risk_free,market_return_expectation\n"
+         "100001,2009,0.8,0.03,0.075\n  \n\n100001,20x0,0.8,0.03,0.075\n",
+         "line 6, column 2: invalid year '20x0'"),
+    ],
+    ids=["values", "price_path", "prices", "capm"],
+)
+def test_errors_name_physical_lines_after_blank_lines(capsys, tmp_path, argv, text, message):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *(str(path) if arg == FILE else arg for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"

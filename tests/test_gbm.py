@@ -151,22 +151,28 @@ def test_sigma2_estimate_concentrates_near_truth():
     assert hits / trials >= 0.99
 
 
-def test_price_csv_round_trip():
+def test_price_csv_round_trip(tmp_path):
     params = gbm.GbmParams(mu=0.1, sigma=0.3)
     path = gbm.simulate_gbm(params, a0=100.0, T=1.0, n=25, seed=3)
     text = gbm.write_price_csv(path)
     assert text.splitlines()[0] == "date_index,price"
-    back = gbm.read_price_csv(text, step_h=path.step_h, t0=path.t0)
+    target = tmp_path / "prices.csv"
+    target.write_text(text)
+    back = gbm.read_price_csv(str(target), step_h=path.step_h, t0=path.t0)
     assert np.array_equal(back.prices, path.prices)
 
 
-def test_read_price_csv_rejects_bad_rows():
+def test_read_price_csv_rejects_bad_rows(tmp_path):
+    target = tmp_path / "prices.csv"
+    target.write_text("wrong,header\n0,100\n")
     with pytest.raises(ParseError):
-        gbm.read_price_csv("wrong,header\n0,100\n", step_h=1.0)
+        gbm.read_price_csv(str(target), step_h=1.0)
+    target.write_text("date_index,price\n0,100\n1,-5\n")
     with pytest.raises(ParseError, match="line 3"):
-        gbm.read_price_csv("date_index,price\n0,100\n1,-5\n", step_h=1.0)
+        gbm.read_price_csv(str(target), step_h=1.0)
+    target.write_text("date_index,price\n0,abc\n")
     with pytest.raises(ParseError, match="line 2"):
-        gbm.read_price_csv("date_index,price\n0,abc\n", step_h=1.0)
+        gbm.read_price_csv(str(target), step_h=1.0)
 
 
 def test_price_path_validation():
