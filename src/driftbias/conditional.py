@@ -205,6 +205,8 @@ def asymptotic_limit(nu: float, direction: Direction) -> float:
     zero cases the conditioning event becomes ever rarer and drags the
     estimator to the threshold rate.
     """
+    if not math.isfinite(nu):
+        raise ValueError(f"nu must be finite, got {nu}")
     if direction is Direction.ABOVE:
         return nu if nu > 0 else 0.0
     return nu if nu < 0 else 0.0

@@ -50,6 +50,8 @@ class GbmParams:
     def __post_init__(self) -> None:
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+            raise ValueError(f"mu and sigma must be finite, got mu = {self.mu}, sigma = {self.sigma}")
 
     @property
     def nu(self) -> float:
@@ -245,5 +247,7 @@ def _validate_grid(a0: float, T: float, n: int) -> None:
         raise ValueError(f"a0 must be positive, got {a0}")
     if not T > 0:
         raise ValueError(f"T must be positive, got {T}")
+    if math.isinf(a0) or math.isinf(T):
+        raise ValueError(f"a0 and T must be finite, got a0 = {a0}, T = {T}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")

@@ -10,6 +10,7 @@ variants are out of scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,6 +46,8 @@ class SmoothingConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if self.init_value is not None and not math.isfinite(self.init_value):
+            raise ValueError(f"init_value must be finite, got {self.init_value}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,9 @@ def smooth(observations: Sequence[float], config: SmoothingConfig = SmoothingCon
 
     Raises:
         InsufficientDataError: empty input.
+        ValueError: a non-finite observation.
     """
-    y = np.asarray(observations, dtype=float)
+    y = _finite_series(observations)
     if y.size == 0:
         raise InsufficientDataError("cannot smooth an empty series")
     alpha = config.alpha
@@ -122,14 +126,22 @@ def fit_alpha(
         grid: Candidate alphas in [0, 1], non-empty.
 
     Returns:
-        (alpha, sse) of the winner.
+        (alpha, sse) of the winner; an sse past the float range is inf.
+
+    Raises:
+        InsufficientDataError: fewer than 3 observations.
+        ValueError: a non-finite observation or an empty grid.
     """
-    y = np.asarray(observations, dtype=float)
+    y = _finite_series(observations)
     if y.size < 3:
         raise InsufficientDataError(f"fitting alpha needs at least 3 observations, got {y.size}")
     alphas = np.sort(np.array(grid, dtype=float))
     if alphas.size == 0:
         raise ValueError("alpha grid must be non-empty")
+    # The recurrence is linear in y, so scaling a large y down by a power of
+    # two scales every error exactly and keeps the sums of squares in range.
+    exponent = max(0, int(np.frexp(np.abs(y).max())[1]))
+    y = np.ldexp(y, -exponent)
     # smooth()'s recurrence for every candidate at once, one row each.
     keep = 1.0 - alphas
     forecasts = np.empty((alphas.size, y.size))
@@ -140,4 +152,12 @@ def fit_alpha(
     # argmin returns the first minimum: the smallest alpha among ties.
     sse = np.vecdot(errors, errors)
     best = int(np.argmin(sse))
-    return float(alphas[best]), float(sse[best])
+    with np.errstate(over="ignore"):
+        return float(alphas[best]), float(np.ldexp(sse[best], 2 * exponent))
+
+
+def _finite_series(observations: Sequence[float]) -> np.ndarray:
+    y = np.asarray(observations, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError(f"observations must be finite, got {y[~np.isfinite(y)][0]}")
+    return y

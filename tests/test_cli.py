@@ -295,6 +295,24 @@ def test_conditional_rejects_non_finite_arguments(capsys):
         assert err.startswith("error:") and "finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--mu", "0.1", "--sigma", "0.3", "--a0", "inf", "--T", "1", "--n", "5", "--seed", "1"],
+        ["simulate", "--mu", "0.1", "--sigma", "0.3", "--a0", "100", "--T", "inf", "--n", "5", "--seed", "1"],
+        ["simulate", "--mu", "nan", "--sigma", "0.3", "--a0", "100", "--T", "1", "--n", "5", "--seed", "1"],
+        ["simulate", "--mu", "0.1", "--sigma", "inf", "--a0", "100", "--T", "1", "--n", "5", "--seed", "1"],
+        ["limits", "--nu", "nan", "--direction", "above"],
+    ],
+    ids=["a0", "T", "mu", "sigma", "limits"],
+)
+def test_file_free_commands_reject_non_finite_arguments(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err and "\n" not in err.strip()
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     # Only the quadrature oracle needs scipy.integrate; loading it at
     # import would slow every cold start of the CLI.
@@ -392,3 +410,38 @@ def test_errors_name_physical_lines_after_blank_lines(capsys, tmp_path, argv, te
     assert code == 2
     assert out == ""
     assert err == f"error: {path}: {message}\n"
+
+
+# Sums of squares of these values overflow unless the series is scaled first.
+HUGE = ["1e200", "-1e200", "3e200", "-2e200", "5e199"]
+
+
+def numbers(text):
+    """Every number in ``text``, whether a CSV cell or the value of a ``key=value`` pair."""
+    cells = text.replace("=", ",").replace(" ", ",").replace("\n", ",").split(",")
+    return [float(cell) for cell in cells if cell[-1:].isdigit()]
+
+
+@pytest.mark.filterwarnings("ignore:Ljung-Box chi-square approximation:UserWarning")
+@pytest.mark.parametrize(
+    "command, values",
+    [
+        (("diagnose", "--lags", "1"), HUGE),
+        (("smooth", "--fit"), HUGE),
+        (("smooth", "--fit"), ["0", "0", "0", "1e200", "1e200", "1e200"]),
+    ],
+    ids=["diagnose", "smooth", "smooth_level_shift"],
+)
+def test_value_commands_handle_huge_values(capsys, tmp_path, command, values):
+    # The results must match those of the same series divided by 1e200:
+    # diagnose's autocorrelations, Q and p, and smooth's fitted alpha.
+    unit = [repr(float(value) / 1e200) for value in values]
+    code, unit_out, unit_err = run_cli(capsys, command[0], "--input", write_values(tmp_path, unit), *command[1:])
+    assert code == 0
+    code, out, err = run_cli(capsys, command[0], "--input", write_values(tmp_path, values), *command[1:])
+    assert code == 0
+    assert "nan" not in out + err and "inf" not in out + err
+    if command[0] == "diagnose":
+        assert numbers(out + err) == pytest.approx(numbers(unit_out + unit_err), rel=1e-12)
+    else:
+        assert err == unit_err

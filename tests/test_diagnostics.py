@@ -121,6 +121,27 @@ def test_acf_matches_brute_force(y, max_lag):
     assert result.acf == pytest.approx(brute_force_acf(y, max_lag), abs=1e-10)
 
 
+@given(
+    st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=50).filter(lambda y: max(y) - min(y) > 1e-6),
+    st.integers(1, 5),
+)
+def test_acf_keeps_the_unscaled_bits(y, max_lag):
+    # The power-of-two scaling that guards against overflow changes no bit.
+    centered = np.asarray(y) - np.mean(y)
+    denominator = float(centered @ centered)
+    expected = [float(centered[k:] @ centered[:-k]) / denominator for k in range(1, max_lag + 1)]
+    assert diagnostics.acf_pacf(y, max_lag).acf.tolist() == expected
+
+
+def test_acf_survives_huge_values():
+    y = np.array([1.0, -1.0, 3.0, -2.0, 0.5])
+    expected = diagnostics.acf_pacf(y, 2)
+    for scale in (1e200, 1e300):
+        result = diagnostics.acf_pacf(scale * y, 2)
+        assert result.acf == pytest.approx(expected.acf, rel=1e-14)
+        assert result.pacf == pytest.approx(expected.pacf, rel=1e-14)
+
+
 def test_acf_bounded_by_one():
     rng = np.random.default_rng(13)
     for _ in range(20):

@@ -15,6 +15,12 @@ def test_params_reject_nonpositive_sigma():
         gbm.GbmParams(mu=0.1, sigma=-0.3)
 
 
+@pytest.mark.parametrize("mu, sigma", [(math.nan, 0.3), (math.inf, 0.3), (0.1, math.inf)])
+def test_params_reject_non_finite(mu, sigma):
+    with pytest.raises(ValueError, match="finite"):
+        gbm.GbmParams(mu=mu, sigma=sigma)
+
+
 def test_nu_is_mu_minus_half_variance():
     params = gbm.GbmParams(mu=0.1, sigma=0.3)
     assert params.nu == 0.1 - 0.045
@@ -30,6 +36,10 @@ def test_simulate_rejects_bad_arguments():
         gbm.simulate_gbm(params, a0=100.0, T=0.0, n=10, seed=1)
     with pytest.raises(ValueError):
         gbm.simulate_gbm(params, a0=100.0, T=1.0, n=0, seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        gbm.simulate_gbm(params, a0=math.inf, T=1.0, n=10, seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        gbm.simulate_gbm(params, a0=100.0, T=math.inf, n=10, seed=1)
 
 
 def test_zero_noise_path_grows_at_nu():

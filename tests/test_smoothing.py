@@ -17,6 +17,17 @@ def test_config_validation():
     with pytest.raises(ValueError):
         smoothing.SmoothingConfig(alpha=1.5)
     assert smoothing.SmoothingConfig().alpha == 0.2
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="init_value must be finite"):
+            smoothing.SmoothingConfig(init_value=bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_smooth_and_fit_reject_non_finite_observations(bad):
+    with pytest.raises(ValueError, match="observations must be finite"):
+        smoothing.smooth([1.0, bad, 2.0])
+    with pytest.raises(ValueError, match="observations must be finite"):
+        smoothing.fit_alpha([1.0, bad, 2.0, 3.0])
 
 
 def test_smooth_empty_input():
@@ -123,6 +134,15 @@ def test_fit_alpha_prefers_fast_tracking_on_level_shift():
     y = [0.0, 0.0, 0.0, 0.0, 10.0, 10.0, 10.0, 10.0]
     alpha, _ = smoothing.fit_alpha(y, [0.1, 0.9])
     assert alpha == 0.9
+
+
+def test_fit_alpha_survives_huge_values():
+    # Near 1e200 the squared errors overflow unless the series is scaled first.
+    y = [0.0, 0.0, 0.0, 0.0, 10.0, 10.0, 10.0, 10.0]
+    alpha, sse = smoothing.fit_alpha(y, [0.1, 0.9])
+    assert alpha == 0.9
+    assert smoothing.fit_alpha([1e200 * v for v in y], [0.1, 0.9]) == (0.9, float("inf"))
+    assert smoothing.fit_alpha([2.0**400 * v for v in y], [0.1, 0.9]) == (0.9, 2.0**800 * sse)
 
 
 def test_fit_alpha_constant_series_ties_to_smallest():
