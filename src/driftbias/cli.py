@@ -10,6 +10,7 @@ a single ``error: ...`` line to standard error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -192,6 +193,8 @@ def _cmd_conditional(args: argparse.Namespace) -> None:
 def _cmd_surface(args: argparse.Namespace) -> None:
     if args.mu_steps < 1 or args.c_steps < 1:
         raise ValueError("--mu-steps and --c-steps must be at least 1")
+    if not all(map(math.isfinite, (args.mu_min, args.mu_max, args.c_min, args.c_max))):
+        raise ValueError("--mu-min, --mu-max, --c-min and --c-max must be finite")
     mu_grid = np.linspace(args.mu_min, args.mu_max, args.mu_steps)
     c_grid = np.linspace(args.c_min, args.c_max, args.c_steps)
     cells = conditional.bias_surface(

@@ -122,6 +122,8 @@ def _check_scale(sigma: float, T: float, direction: Direction) -> None:
         raise ValueError(f"T must be positive, got {T}")
     if math.isinf(sigma) or math.isinf(T):
         raise ValueError(f"sigma and T must be finite, got sigma = {sigma}, T = {T}")
+    if not sigma * math.sqrt(T) > 0:
+        raise ValueError(f"sigma * sqrt(T) underflows to 0, got sigma = {sigma}, T = {T}")
     if not isinstance(direction, Direction):
         raise ValueError(f"direction must be a Direction, got {direction!r}")
 

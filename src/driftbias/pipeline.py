@@ -23,7 +23,8 @@ from __future__ import annotations
 import datetime
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from itertools import groupby
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -445,12 +446,15 @@ def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> list[Sto
             entries.
         InsufficientDataError: a period with fewer than 2 observations.
     """
-    grouped = _read_prices(prices_path)
+    prices = _read_prices(prices_path)
     capm_rows = _read_capm(capm_path)
     step_h = 1.0 / config.h_per_year
+    offsets = prices.offsets.tolist()
     datasets = []
-    for stock_id, year_map in sorted(grouped.items()):
-        years = sorted(year_map)
+    # Rows are sorted by (stock_id, date), so each stock's segments are adjacent.
+    for stock_id, segments in groupby(range(len(prices.years)), key=prices.stock_ids.__getitem__):
+        segments = list(segments)
+        years = prices.years[segments[0] : segments[-1] + 1]
         for previous, current in zip(years, years[1:]):
             if current != previous + 1:
                 raise ParseError(
@@ -458,16 +462,14 @@ def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> list[Sto
                     "periods must be consecutive calendar years"
                 )
         paths = []
-        for year in years:
-            closes = year_map[year]
-            if len(closes) < 2:
+        for k, year in zip(segments, years):
+            closes = prices.closes[offsets[k] : offsets[k + 1]]
+            if closes.size < 2:
                 raise InsufficientDataError(
                     f"stock {stock_id}, year {year}: a period needs >= 2 observations, "
-                    f"got {len(closes)}"
+                    f"got {closes.size}"
                 )
-            paths.append(
-                PricePath(t0=float(year - years[0]), step_h=step_h, prices=np.asarray(closes))
-            )
+            paths.append(PricePath(t0=float(year - years[0]), step_h=step_h, prices=closes))
         beta, risk_free, market = _capm_for_stock(capm_path, capm_rows, stock_id, years)
         datasets.append(
             StockDataset(
@@ -482,8 +484,29 @@ def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> list[Sto
     return datasets
 
 
-def _read_prices(path: str) -> dict[str, dict[int, list[float]]]:
-    grouped: dict[str, dict[int, list[float]]] = {}
+class _Prices(NamedTuple):
+    """A prices file as columns: every close in file order, cut into (stock, year) segments.
+
+    Segment k is ``closes[offsets[k]:offsets[k + 1]]``, the closes of
+    stock ``stock_ids[k]`` in calendar year ``years[k]``.
+    """
+
+    closes: np.ndarray
+    stock_ids: list[str]
+    years: list[int]
+    offsets: np.ndarray
+
+
+def _read_prices(path: str) -> _Prices:
+    return _read_price_rows(path)
+
+
+def _read_price_rows(path: str) -> _Prices:
+    """The prices file read row by row; the reference for the column-wise reader."""
+    closes: list[float] = []
+    stock_ids: list[str] = []
+    years: list[int] = []
+    starts: list[int] = []
     previous_key: tuple[str, datetime.date] | None = None
     for lineno, cells in read_rows(path, PRICES_HEADER):
         stock_id = cells[0].strip()
@@ -501,9 +524,13 @@ def _read_prices(path: str) -> dict[str, dict[int, list[float]]]:
             raise ParseError(
                 f"{path}: line {lineno}: rows must be strictly sorted by (stock_id, date)"
             )
+        if previous_key is None or stock_id != previous_key[0] or date.year != previous_key[1].year:
+            stock_ids.append(stock_id)
+            years.append(date.year)
+            starts.append(len(closes))
         previous_key = key
-        grouped.setdefault(stock_id, {}).setdefault(date.year, []).append(close)
-    return grouped
+        closes.append(close)
+    return _Prices(np.array(closes, dtype=float), stock_ids, years, np.array([*starts, len(closes)]))
 
 
 def _read_capm(path: str) -> dict[tuple[str, int], tuple[float, float, float]]:

@@ -303,8 +303,10 @@ def test_conditional_rejects_non_finite_arguments(capsys):
         ["simulate", "--mu", "nan", "--sigma", "0.3", "--a0", "100", "--T", "1", "--n", "5", "--seed", "1"],
         ["simulate", "--mu", "0.1", "--sigma", "inf", "--a0", "100", "--T", "1", "--n", "5", "--seed", "1"],
         ["limits", "--nu", "nan", "--direction", "above"],
+        ["surface", "--mu-min", "0", "--mu-max", "1", "--mu-steps", "2", "--c-min", "0", "--c-max", "inf",
+         "--c-steps", "2", "--sigma", "0.3", "--T", "1", "--direction", "above"],
     ],
-    ids=["a0", "T", "mu", "sigma", "limits"],
+    ids=["a0", "T", "mu", "sigma", "limits", "surface"],
 )
 def test_file_free_commands_reject_non_finite_arguments(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -49,6 +49,9 @@ def test_query_validation():
         q(T=math.inf)
     with pytest.raises(ValueError, match="sigma must be positive, got nan"):
         q(sigma=math.nan)
+    # The scale sigma * sqrt(T) divides d; an underflow to 0 once escaped as ZeroDivisionError.
+    with pytest.raises(ValueError, match="underflows"):
+        q(sigma=1e-200, T=1e-300)
 
 
 def test_mills_argument():

@@ -1,15 +1,15 @@
-"""Random input files of every format, driven through the CLI.
+"""Random input files of every format, and random arguments, driven through the CLI.
 
 Each file starts valid and then takes a few random edits: blank lines,
 junk lines, rows with a cell too many or too few, and cells replaced by
-junk or a non-finite number. Whatever the file, the command must exit 0,
-1 or 2 without an exception escaping, and a run that exits 0 must print
-no ``nan`` or ``inf``.
+junk or a non-finite number. The commands that read no file get random
+numeric arguments, some of them zero, negative or non-finite. Whatever
+the input, the command must exit 0, 1 or 2 without an exception escaping,
+and a run that exits 0 must print no ``nan`` or ``inf``.
 
 Valid numbers stay within magnitudes real inputs have (prices up to 1e4,
-rates of order one, value series up to 1e6). Far larger finite values
-are a known fault of their own: their sums of squares overflow in
-``diagnostics.acf_pacf`` and ``smoothing.fit_alpha``.
+rates of order one, value series up to 1e6, drifts and volatilities of
+order one, horizons up to 50 years, and no argument nearer 0 than 1e-6).
 """
 
 import contextlib
@@ -31,6 +31,11 @@ CONFIG = "alpha = 0.2\nfit_alpha = false\nh_per_year = 252\nbenchmark_mode = per
 
 def floats(low, high):
     return st.floats(low, high).map(repr)
+
+
+def realistic(low, high):
+    """Floats in [low, high] that are 0 or at least 1e-6 in magnitude, as text."""
+    return st.floats(low, high).filter(lambda x: x == 0 or abs(x) >= 1e-6).map(repr)
 
 
 @st.composite
@@ -87,10 +92,19 @@ def portfolio_files(draw):
     )
 
 
-def run_with_files(argv, files):
+def arguments(low, high):
+    """A numeric argument: mostly in [low, high], sometimes zero or not finite."""
+    return st.one_of(
+        realistic(low, high),
+        st.sampled_from(["0", "-0.0", "nan", "inf", "-inf", "1e400"]),
+    )
+
+
+def run_with_files(argv, files, checked=lambda out: out):
     """Write ``files`` (name -> text) to a temporary directory and run the CLI.
 
     Arguments of ``argv`` that name one of the files are replaced by its path.
+    At exit 0, ``checked(stdout)`` must hold no ``nan`` or ``inf``.
     """
     with tempfile.TemporaryDirectory() as directory:
         paths = {name: pathlib.Path(directory) / name for name in files}
@@ -101,7 +115,7 @@ def run_with_files(argv, files):
             code = cli.run([str(paths[arg]) if arg in paths else arg for arg in argv])
     assert code in (0, 1, 2), err.getvalue()
     if code == 0:
-        text = out.getvalue().lower()
+        text = checked(out.getvalue()).lower()
         assert "nan" not in text and "inf" not in text, text
     else:
         assert out.getvalue() == ""
@@ -137,3 +151,58 @@ def test_pipeline_survives_random_portfolios(files):
         ["pipeline", "--prices", "prices.csv", "--capm", "capm.csv", "--config", "pipeline.cfg"],
         {"prices.csv": prices, "capm.csv": capm, "pipeline.cfg": CONFIG},
     )
+
+
+DIRECTIONS = st.sampled_from(["above", "at_or_below"])
+
+
+def run_with_arguments(command, checked=lambda out: out, **options):
+    """Run ``command`` with ``--name=value`` options; the ``=`` keeps a negative value from reading as a flag."""
+    argv = [command, *(f"--{name.replace('_', '-')}={value}" for name, value in options.items())]
+    run_with_files(argv, {}, checked)
+
+
+def surface_values(out):
+    """The surface rows not flagged degenerate; flagged rows print nan by design."""
+    return "".join(line for line in out.splitlines(keepends=True) if not line.endswith(",degenerate\n"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mu=arguments(-1.0, 1.0),
+    sigma=arguments(-0.5, 2.0),
+    a0=arguments(-10.0, 1e4),
+    T=arguments(-1.0, 50.0),
+    n=st.integers(-2, 300),
+    seed=st.integers(-1, 2**32 - 1),
+)
+def test_simulate_survives_random_arguments(mu, sigma, a0, T, n, seed):
+    run_with_arguments("simulate", mu=mu, sigma=sigma, a0=a0, T=T, n=n, seed=seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nu=arguments(-2.0, 2.0), sigma=arguments(-0.5, 2.0), T=arguments(-1.0, 50.0),
+       C=arguments(-2.0, 2.0), direction=DIRECTIONS)
+def test_conditional_survives_random_arguments(nu, sigma, T, C, direction):
+    run_with_arguments("conditional", nu=nu, sigma=sigma, T=T, C=C, direction=direction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mu=st.tuples(arguments(-2.0, 2.0), arguments(-2.0, 2.0), st.integers(-1, 12)),
+    c=st.tuples(arguments(-2.0, 2.0), arguments(-2.0, 2.0), st.integers(-1, 12)),
+    sigma=arguments(-0.5, 2.0),
+    T=arguments(-1.0, 50.0),
+    direction=DIRECTIONS,
+)
+def test_surface_survives_random_arguments(mu, c, sigma, T, direction):
+    run_with_arguments(
+        "surface", surface_values, mu_min=mu[0], mu_max=mu[1], mu_steps=mu[2], c_min=c[0], c_max=c[1], c_steps=c[2],
+        sigma=sigma, T=T, direction=direction,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(nu=arguments(-2.0, 2.0), direction=DIRECTIONS)
+def test_limits_survives_random_arguments(nu, direction):
+    run_with_arguments("limits", nu=nu, direction=direction)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftbias import conditional as ce
 from driftbias import gbm, pipeline
@@ -515,3 +516,54 @@ def test_ingest_rejects_capm_problems(tmp_path):
     prices_path, capm_path = write_inputs(tmp_path, capm=duplicated)
     with pytest.raises(ParseError, match="duplicate"):
         pipeline.ingest(prices_path, capm_path, config)
+
+
+def reference_estimate(path):
+    """(nu_hat, sigma2_hat, R) of one path, written out from its definition."""
+    z = np.log(path.prices)
+    returns = np.diff(z)
+    return (
+        float(z[-1] - z[0]) / (returns.size * path.step_h),
+        float(np.var(returns, ddof=1)) / path.step_h,
+        float(z[-1] - z[0]),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(3, 300), min_size=4, max_size=8),
+    h_per_year=st.sampled_from([12, 52, 252]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_period_estimates_match_per_path_reference(sizes, h_per_year, seed):
+    # Every period's estimates, and the holdout's nu_hat, must equal the
+    # per-path reference bit for bit or within 1e-12 relative.
+    rng = np.random.default_rng(seed)
+    paths = tuple(
+        gbm.PricePath(
+            t0=float(k),
+            step_h=1.0 / h_per_year,
+            prices=np.round(np.exp(rng.uniform(0.0, 6.0) + np.cumsum(rng.normal(0.0, 0.03, size))), 4),
+        )
+        for k, size in enumerate(sizes)
+    )
+    data = pipeline.StockDataset(
+        stock_id="S1",
+        years=tuple(range(2009, 2009 + len(sizes))),
+        period_paths=paths,
+        beta=1.0,
+        risk_free=(0.03,) * len(sizes),
+        market_return_expectation=(0.08,) * len(sizes),
+    )
+    sample, holdout = pipeline.split_holdout(data)
+    records = pipeline.build_period_records(sample)
+    for record, path in zip(records, sample.period_paths):
+        nu_hat, sigma2_hat, total = reference_estimate(path)
+        assert record.nu_hat == pytest.approx(nu_hat, rel=1e-12, abs=0.0)
+        assert record.sigma2_hat == pytest.approx(sigma2_hat, rel=1e-12, abs=0.0)
+        assert record.realized_return == pytest.approx(total, rel=1e-12, abs=0.0)
+        single = gbm.estimate_unconditional(gbm.log_returns(path))
+        assert single.nu_hat == pytest.approx(nu_hat, rel=1e-12, abs=0.0)
+        assert single.sigma2_hat == pytest.approx(sigma2_hat, rel=1e-12, abs=0.0)
+    report = pipeline.score_and_report(sample, holdout)
+    assert report.holdout_nu_hat == pytest.approx(reference_estimate(holdout)[0], rel=1e-12, abs=0.0)
