@@ -1,12 +1,25 @@
 """The one CSV reader behind every input file: a header line, then
 comma-separated rows. Each caller keeps only the rules of its own format.
 Errors read ``{path}: line N[, column k]: ...`` with N the physical line.
+
+``read_table`` reads a plain file column-wise with numpy's tokenizer and
+gives up, without an error, on anything else; ``read_rows`` reads any
+file row by row and names the line of each fault.
 """
+
+from __future__ import annotations
 
 import math
 from typing import Iterator
 
+import numpy as np
+
 from .errors import ParseError
+
+# The bytes of a plain file: printable ASCII and line ends. str.splitlines
+# also ends lines at \x0b, \x0c and \x1c-\x1e, str.strip and float() also
+# strip other whitespace, and numpy's tokenizer does neither the same way.
+_PLAIN = bytes(range(0x20, 0x7F)) + b"\r\n"
 
 
 def read_rows(path: str, header: str) -> Iterator[tuple[int, list[str]]]:
@@ -32,6 +45,36 @@ def read_rows(path: str, header: str) -> Iterator[tuple[int, list[str]]]:
             yield lineno, cells
         elif line.strip():
             raise ParseError(f"{path}: line {lineno}: expected {width} columns, got {len(cells)}")
+
+
+def read_table(path: str, header: str, dtype: np.dtype) -> np.ndarray | None:
+    """The data rows of ``path`` as one structured array, or None.
+
+    The file is parsed column-wise only when its first line is exactly
+    ``header``, every other byte is printable ASCII or a line end, it has
+    at least one row, and every row parses into ``dtype``. Otherwise the
+    result is None, and the caller reads the file with ``read_rows``.
+
+    Float fields hold what ``float`` makes of the same cell. String fields
+    hold the raw cell, neither stripped like ``read_rows`` cells nor kept
+    whole when it is as long as the field, so callers must check them.
+    """
+    with open(path, "rb") as handle:
+        if handle.readline() != header.encode() + b"\n":
+            return None
+        has_rows = False
+        while chunk := handle.read(1 << 24):
+            if chunk.translate(None, _PLAIN):
+                return None
+            has_rows = has_rows or not chunk.isspace()
+    if not has_rows:
+        return None
+    try:
+        return np.loadtxt(
+            path, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1, encoding="latin-1"
+        )
+    except ValueError:
+        return None
 
 
 def invalid(path: str, lineno: int, cells: list[str], index: int, what: str) -> ParseError:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "substream",
     "log_returns",
     "estimate_unconditional",
+    "estimate_paths",
     "write_price_csv",
     "read_price_csv",
 ]
@@ -80,7 +82,7 @@ class PricePath:
             raise ValueError(f"step_h must be positive, got {self.step_h}")
         if prices.ndim != 1 or prices.size < 2:
             raise ValueError("a price path needs at least two prices")
-        if not np.all(prices > 0):
+        if not (prices > 0).all():
             raise ValueError("prices must be strictly positive")
 
     @property
@@ -203,13 +205,56 @@ def estimate_unconditional(series: ReturnSeries) -> EstimateResult:
     Raises:
         InsufficientDataError: fewer than two returns (variance undefined).
     """
-    n = series.n
-    if n < 2:
-        raise InsufficientDataError(f"variance estimation needs n >= 2 returns, got {n}")
-    T = series.duration
-    nu_hat = series.total / T
-    sigma2_hat = float(np.var(series.returns, ddof=1)) / series.step_h
-    return EstimateResult(nu_hat=nu_hat, sigma2_hat=sigma2_hat, n=n, T=T)
+    steps = np.concatenate(([0.0], series.returns))
+    nu_hat, sigma2_hat = _estimate(steps, np.array([steps.size]), np.array([series.total]), series.step_h)
+    return EstimateResult(
+        nu_hat=float(nu_hat[0]), sigma2_hat=float(sigma2_hat[0]), n=series.n, T=series.duration
+    )
+
+
+def estimate_paths(paths: Sequence[PricePath]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``estimate_unconditional(log_returns(path))`` for every path in one pass.
+
+    Returns:
+        Arrays of nu_hat, sigma2_hat and the total log return R, one
+        element per path, equal to the one-path results.
+
+    Raises:
+        InsufficientDataError: a path with fewer than two returns.
+    """
+    sizes = np.array([path.prices.size for path in paths])
+    starts = np.cumsum(sizes) - sizes
+    z = np.log(np.concatenate([path.prices for path in paths]))
+    # Each path's returns follow a 0.0 in the slot where the step from the
+    # previous path's last price would be.
+    steps = np.diff(z, prepend=z[0])
+    steps[starts] = 0.0
+    totals = z[starts + sizes - 1] - z[starts]
+    step_h = np.array([path.step_h for path in paths])
+    nu_hat, sigma2_hat = _estimate(steps, sizes, totals, step_h)
+    return nu_hat, sigma2_hat, totals
+
+
+def _estimate(
+    steps: np.ndarray, sizes: np.ndarray, totals: np.ndarray, step_h: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """nu_hat and sigma2_hat of consecutive segments of ``steps``.
+
+    Segment k holds ``sizes[k]`` values: a 0.0, then its n = sizes[k] - 1
+    returns. np.add.reduceat sums a segment as its first value plus the
+    pairwise sum of the rest, and np.add.reduce sums an array as 0.0 plus
+    the pairwise sum of all of it; the leading 0.0 makes the two agree, so
+    sigma2_hat keeps np.var's summation order and its bits.
+    """
+    n = sizes - 1
+    if (n < 2).any():
+        raise InsufficientDataError(f"variance estimation needs n >= 2 returns, got {n[n < 2][0]}")
+    starts = np.cumsum(sizes) - sizes
+    mean = np.add.reduceat(steps, starts) / n
+    deviations = steps - np.repeat(mean, sizes)
+    deviations[starts] = 0.0
+    sigma2_hat = np.add.reduceat(deviations * deviations, starts) / (n - 1) / step_h
+    return totals / (n * step_h), sigma2_hat
 
 
 def write_price_csv(path: PricePath) -> str:

@@ -28,10 +28,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._csv import finite, invalid, read_rows
+from ._csv import finite, invalid, read_rows, read_table
 from .conditional import ConditionalQuery, Direction, conditional_nu
 from .errors import DegenerateConditionError, InsufficientDataError, ParseError
-from .gbm import PricePath, estimate_unconditional, log_returns
+from .gbm import PricePath, estimate_paths
 from .smoothing import DEFAULT_ALPHA, DEFAULT_FIT_GRID, SmoothingConfig, fit_alpha, smooth
 
 __all__ = [
@@ -194,26 +194,35 @@ def build_period_records(
     not-invested record.
 
     Raises:
-        InsufficientDataError: fewer than two periods.
+        InsufficientDataError: fewer than two periods, or a period with
+            fewer than two returns.
     """
+    return _estimate_records(data, config, ())[0]
+
+
+def _estimate_records(
+    data: StockDataset, config: PipelineConfig, extra: tuple[PricePath, ...]
+) -> tuple[list[PeriodRecord], np.ndarray]:
+    """``build_period_records``, plus the nu_hat of each ``extra`` path from the same pass."""
     if data.n_periods < 2:
         raise InsufficientDataError(
             f"stock {data.stock_id}: need at least 2 periods, got {data.n_periods}"
         )
+    nu_hat, sigma2_hat, totals = estimate_paths(data.period_paths + extra)
+    count = data.n_periods
     records: list[PeriodRecord] = []
     invested = False
     nu_tilde = 0.0
     degenerate = False
-    for index, path in enumerate(data.period_paths):
-        series = log_returns(path)
-        estimate = estimate_unconditional(series)
+    periods = zip(nu_hat[:count].tolist(), sigma2_hat[:count].tolist(), totals[:count].tolist())
+    for index, (period_nu_hat, period_sigma2_hat, total) in enumerate(periods):
         benchmark = _period_benchmark(data, index, config)
         records.append(
             PeriodRecord(
                 period_index=index,
-                nu_hat=estimate.nu_hat,
-                sigma2_hat=estimate.sigma2_hat,
-                realized_return=series.total,
+                nu_hat=period_nu_hat,
+                sigma2_hat=period_sigma2_hat,
+                realized_return=total,
                 benchmark_c=benchmark,
                 invested=invested,
                 nu_tilde=nu_tilde,
@@ -221,9 +230,9 @@ def build_period_records(
             )
         )
         invested, nu_tilde, degenerate = _gate_forecast(
-            series.total, benchmark, estimate.nu_hat, estimate.sigma2_hat
+            total, benchmark, period_nu_hat, period_sigma2_hat
         )
-    return records
+    return records, nu_hat[count:]
 
 
 def _gate_forecast(
@@ -332,10 +341,9 @@ def score_and_report(
     data: StockDataset, holdout: PricePath, config: PipelineConfig = PipelineConfig()
 ) -> ForecastReport:
     """Build records from the sample periods and score the holdout period."""
-    records = build_period_records(data, config)
+    records, (holdout_nu_hat,) = _estimate_records(data, config, (holdout,))
     raw_next, _ = next_raw_forecast(records)
-    holdout_nu_hat = estimate_unconditional(log_returns(holdout)).nu_hat
-    return score_records(data.stock_id, records, raw_next, holdout_nu_hat, config)
+    return score_records(data.stock_id, records, raw_next, float(holdout_nu_hat), config)
 
 
 def split_holdout(data: StockDataset) -> tuple[StockDataset, PricePath]:
@@ -497,8 +505,59 @@ class _Prices(NamedTuple):
     offsets: np.ndarray
 
 
+# A prices row as numpy's tokenizer stores it: the id and date cells as
+# NUL-padded bytes, 16 each so that every field starts on an 8-byte word.
+_PRICE_DTYPE = np.dtype([("stock_id", "S16"), ("date", "S16"), ("close", "f8")])
+# Bytes 16-31 of a row hold the date cell; each must lie in [low, low + span]:
+# ten characters "dddd-dd-dd", then NUL padding.
+_DATE_LOW = np.frombuffer(b"0000-00-00" + bytes(6), np.uint8)
+_DATE_SPAN = np.frombuffer(bytes([9, 9, 9, 9, 0, 9, 9, 0, 9, 9]) + bytes(6), np.uint8)
+
+
 def _read_prices(path: str) -> _Prices:
-    return _read_price_rows(path)
+    """The prices file column-wise, or row by row when it is not plain.
+
+    Both ways give the same columns, or the row loop's error.
+    """
+    table = read_table(path, PRICES_HEADER, _PRICE_DTYPE)
+    prices = None if table is None else _price_columns(table)
+    return _read_price_rows(path) if prices is None else prices
+
+
+def _price_columns(table: np.ndarray) -> _Prices | None:
+    """The columns of a parsed prices table, or None unless the row loop
+    would accept every row as it stands."""
+    closes = table["close"]
+    if not ((closes > 0).all() and np.isfinite(closes).all()):
+        return None
+    # numpy's date parser also takes "2011", "+2011-01-01", "NaT" and more.
+    row_bytes = table.view(np.uint8).reshape(table.size, _PRICE_DTYPE.itemsize)
+    if ((row_bytes[:, 16:32] - _DATE_LOW) > _DATE_SPAN).any():
+        return None
+    try:
+        days = table["date"].astype("datetime64[D]")
+    except ValueError:  # a day that does not exist, such as 2011-02-30
+        return None
+    if days.min() < np.datetime64("0001-01-01"):
+        return None
+    row_words = table.view(np.uint64).reshape(table.size, _PRICE_DTYPE.itemsize // 8)
+    same_stock = (row_words[1:, 0] == row_words[:-1, 0]) & (row_words[1:, 1] == row_words[:-1, 1])
+    if not (~same_stock | (days[1:] > days[:-1])).all():
+        return None
+    # A new segment starts where the stock or the year's four digits (bytes 16-19) change.
+    year_digits = table.view(np.uint32)[4 :: _PRICE_DTYPE.itemsize // 4]
+    starts = np.flatnonzero(~same_stock | (year_digits[1:] != year_digits[:-1])) + 1
+    starts = np.concatenate(([0], starts))
+    stock_ids = [cell.decode() for cell in table["stock_id"][starts].tolist()]
+    # The row loop strips each id; one as long as the field may have been cut.
+    width = _PRICE_DTYPE["stock_id"].itemsize
+    heads = [stock_id for k, stock_id in enumerate(stock_ids) if k == 0 or stock_id != stock_ids[k - 1]]
+    if not all(stock_id and stock_id == stock_id.strip() and len(stock_id) < width for stock_id in heads):
+        return None
+    if not all(previous < current for previous, current in zip(heads, heads[1:])):
+        return None
+    years = (days[starts].astype("datetime64[Y]").astype(np.int64) + 1970).tolist()
+    return _Prices(closes.copy(), stock_ids, years, np.append(starts, table.size))
 
 
 def _read_price_rows(path: str) -> _Prices:

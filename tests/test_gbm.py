@@ -136,6 +136,33 @@ def test_estimate_needs_two_returns():
 
 
 @given(
+    sizes=st.lists(st.integers(3, 600), min_size=1, max_size=12),
+    steps=st.lists(st.sampled_from([1.0 / 252, 1.0 / 12, 0.5]), min_size=12, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_estimate_paths_matches_one_path_estimates(sizes, steps, seed):
+    rng = np.random.default_rng(seed)
+    paths = [
+        gbm.PricePath(t0=0.0, step_h=step, prices=np.exp(rng.normal(0.0, 0.05, size).cumsum()))
+        for size, step in zip(sizes, steps)
+    ]
+    nu_hat, sigma2_hat, totals = gbm.estimate_paths(paths)
+    for k, path in enumerate(paths):
+        series = gbm.log_returns(path)
+        single = gbm.estimate_unconditional(series)
+        assert nu_hat[k] == pytest.approx(single.nu_hat, rel=1e-12, abs=0.0)
+        assert sigma2_hat[k] == pytest.approx(single.sigma2_hat, rel=1e-12, abs=0.0)
+        assert sigma2_hat[k] == pytest.approx(np.var(series.returns, ddof=1) / path.step_h, rel=1e-12, abs=0.0)
+        assert totals[k] == series.total
+
+
+def test_estimate_paths_needs_two_returns_per_path():
+    paths = [gbm.PricePath(0.0, 1.0, (1.0, 2.0, 3.0)), gbm.PricePath(0.0, 1.0, (1.0, 2.0))]
+    with pytest.raises(InsufficientDataError, match="needs n >= 2 returns, got 1"):
+        gbm.estimate_paths(paths)
+
+
+@given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n=st.integers(min_value=2, max_value=64),
 )

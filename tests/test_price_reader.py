@@ -15,9 +15,10 @@ import tempfile
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
-from driftbias import pipeline
+from driftbias import _csv, pipeline
 from driftbias.errors import ParseError
 
 ID_CHARS = st.sampled_from("0123456789ABCXYZabz-._ ")
@@ -114,3 +115,39 @@ def test_reader_matches_row_loop(data):
         path = pathlib.Path(directory) / "prices.csv"
         path.write_bytes(data)
         assert outcome(pipeline._read_prices, str(path)) == outcome(pipeline._read_price_rows, str(path))
+
+
+FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "prices.csv"
+
+
+def column_wise(path):
+    """Whether ``_read_prices`` reads ``path`` column-wise rather than row by row."""
+    table = _csv.read_table(str(path), pipeline.PRICES_HEADER, pipeline._PRICE_DTYPE)
+    return table is not None and pipeline._price_columns(table) is not None
+
+
+def test_plain_files_are_read_column_wise(tmp_path):
+    assert column_wise(FIXTURE)
+    path = tmp_path / "prices.csv"
+    path.write_text("stock_id,date,close\nA B,2011-01-03,1.5\nA B,2011-12-30,2\nC,2011-01-03,1e2\n")
+    assert column_wise(path)
+    assert outcome(pipeline._read_prices, str(path)) == outcome(pipeline._read_price_rows, str(path))
+
+
+# Cells numpy's tokenizer or date parser would take, cut or read otherwise
+# than the row loop does; each must send the file to the row loop.
+@pytest.mark.parametrize(
+    "row",
+    [
+        "A,2011,1.5", "A,2011-01,1.5", "A,+2011-01-01,1.5", "A,NaT,1.5", "A,0000-01-01,1.5",
+        "A,2011-01-01T00,1.5", "A,20110101,1.5", "A,2011-02-29,1.5", "A, 2011-01-01,1.5",
+        "ABCDEFGHIJKLMNOPQ,2011-01-01,1.5", "ABCDEFGHIJKLMNOP,2011-01-01,1.5", " A,2011-01-01,1.5",
+        "A ,2011-01-01,1.5", ",2011-01-01,1.5", "A,2011-01-01,1_5", "A,2011-01-01,\x0c1.5",
+        "A,2011-01-01,nan", "A,2011-01-01,1e400", "A,2011-01-01,0", "é,2011-01-01,1.5", "A,2010-12-31,1.5",
+    ],
+)
+def test_unusual_rows_go_to_the_row_loop(tmp_path, row):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(f"stock_id,date,close\nA,2011-01-01,1.0\n{row}\nB,2011-01-01,1.0\n".encode())
+    assert not column_wise(path)
+    assert outcome(pipeline._read_prices, str(path)) == outcome(pipeline._read_price_rows, str(path))
