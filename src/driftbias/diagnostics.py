@@ -15,6 +15,7 @@ fit). PACF values come from the Durbin-Levinson recursion on the ACF.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -66,7 +67,7 @@ def acf_pacf(series: Sequence[float], max_lag: int) -> AcfResult:
         raise ValueError(f"max_lag must be smaller than the series length {n}, got {max_lag}")
     # Every autocorrelation is a ratio of sums of products, so scaling a large
     # series down by a power of two changes none of them and keeps the sums in range.
-    y = np.ldexp(y, -max(0, int(np.frexp(np.abs(y).max())[1])))
+    y = np.ldexp(y, -max(0, math.frexp(float(np.abs(y).max()))[1]))
     centered = y - y.mean()
     denominator = float(centered @ centered)
     if denominator == 0.0:

@@ -205,8 +205,9 @@ def estimate_unconditional(series: ReturnSeries) -> EstimateResult:
     Raises:
         InsufficientDataError: fewer than two returns (variance undefined).
     """
+    _require_two_returns(series.n)
     steps = np.concatenate(([0.0], series.returns))
-    nu_hat, sigma2_hat = _estimate(steps, np.array([steps.size]), np.array([series.total]), series.step_h)
+    nu_hat, sigma2_hat = _estimate(steps, _FIRST, np.array([steps.size]), series.total, series.step_h)
     return EstimateResult(
         nu_hat=float(nu_hat[0]), sigma2_hat=float(sigma2_hat[0]), n=series.n, T=series.duration
     )
@@ -223,6 +224,7 @@ def estimate_paths(paths: Sequence[PricePath]) -> tuple[np.ndarray, np.ndarray, 
         InsufficientDataError: a path with fewer than two returns.
     """
     sizes = np.array([path.prices.size for path in paths])
+    _require_two_returns(int(sizes.min()) - 1)
     starts = np.cumsum(sizes) - sizes
     z = np.log(np.concatenate([path.prices for path in paths]))
     # Each path's returns follow a 0.0 in the slot where the step from the
@@ -231,25 +233,36 @@ def estimate_paths(paths: Sequence[PricePath]) -> tuple[np.ndarray, np.ndarray, 
     steps[starts] = 0.0
     totals = z[starts + sizes - 1] - z[starts]
     step_h = np.array([path.step_h for path in paths])
-    nu_hat, sigma2_hat = _estimate(steps, sizes, totals, step_h)
+    nu_hat, sigma2_hat = _estimate(steps, starts, sizes, totals, step_h)
     return nu_hat, sigma2_hat, totals
 
 
+# The segment starts of a single segment.
+_FIRST = np.zeros(1, dtype=np.intp)
+
+
+def _require_two_returns(n: int) -> None:
+    if n < 2:
+        raise InsufficientDataError(f"variance estimation needs n >= 2 returns, got {n}")
+
+
 def _estimate(
-    steps: np.ndarray, sizes: np.ndarray, totals: np.ndarray, step_h: float | np.ndarray
+    steps: np.ndarray,
+    starts: np.ndarray,
+    sizes: np.ndarray,
+    totals: float | np.ndarray,
+    step_h: float | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """nu_hat and sigma2_hat of consecutive segments of ``steps``.
 
-    Segment k holds ``sizes[k]`` values: a 0.0, then its n = sizes[k] - 1
-    returns. np.add.reduceat sums a segment as its first value plus the
-    pairwise sum of the rest, and np.add.reduce sums an array as 0.0 plus
-    the pairwise sum of all of it; the leading 0.0 makes the two agree, so
-    sigma2_hat keeps np.var's summation order and its bits.
+    Segment k starts at ``starts[k]`` and holds ``sizes[k]`` values: a 0.0,
+    then its n = sizes[k] - 1 >= 2 returns. np.add.reduceat sums a segment
+    as its first value plus the pairwise sum of the rest, and np.add.reduce
+    sums an array as 0.0 plus the pairwise sum of all of it; the leading
+    0.0 makes the two agree, so sigma2_hat keeps np.var's summation order
+    and its bits.
     """
     n = sizes - 1
-    if (n < 2).any():
-        raise InsufficientDataError(f"variance estimation needs n >= 2 returns, got {n[n < 2][0]}")
-    starts = np.cumsum(sizes) - sizes
     mean = np.add.reduceat(steps, starts) / n
     deviations = steps - np.repeat(mean, sizes)
     deviations[starts] = 0.0

@@ -457,7 +457,6 @@ def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> list[Sto
     prices = _read_prices(prices_path)
     capm_rows = _read_capm(capm_path)
     step_h = 1.0 / config.h_per_year
-    offsets = prices.offsets.tolist()
     datasets = []
     # Rows are sorted by (stock_id, date), so each stock's segments are adjacent.
     for stock_id, segments in groupby(range(len(prices.years)), key=prices.stock_ids.__getitem__):
@@ -471,7 +470,7 @@ def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> list[Sto
                 )
         paths = []
         for k, year in zip(segments, years):
-            closes = prices.closes[offsets[k] : offsets[k + 1]]
+            closes = prices.closes[prices.offsets[k] : prices.offsets[k + 1]]
             if closes.size < 2:
                 raise InsufficientDataError(
                     f"stock {stock_id}, year {year}: a period needs >= 2 observations, "
@@ -502,7 +501,7 @@ class _Prices(NamedTuple):
     closes: np.ndarray
     stock_ids: list[str]
     years: list[int]
-    offsets: np.ndarray
+    offsets: list[int]
 
 
 # A prices row as numpy's tokenizer stores it: the id and date cells as
@@ -551,13 +550,13 @@ def _price_columns(table: np.ndarray) -> _Prices | None:
     stock_ids = [cell.decode() for cell in table["stock_id"][starts].tolist()]
     # The row loop strips each id; one as long as the field may have been cut.
     width = _PRICE_DTYPE["stock_id"].itemsize
-    heads = [stock_id for k, stock_id in enumerate(stock_ids) if k == 0 or stock_id != stock_ids[k - 1]]
+    heads = [stock_id for stock_id, _ in groupby(stock_ids)]
     if not all(stock_id and stock_id == stock_id.strip() and len(stock_id) < width for stock_id in heads):
         return None
     if not all(previous < current for previous, current in zip(heads, heads[1:])):
         return None
     years = (days[starts].astype("datetime64[Y]").astype(np.int64) + 1970).tolist()
-    return _Prices(closes.copy(), stock_ids, years, np.append(starts, table.size))
+    return _Prices(closes.copy(), stock_ids, years, [*starts.tolist(), table.size])
 
 
 def _read_price_rows(path: str) -> _Prices:
@@ -589,7 +588,7 @@ def _read_price_rows(path: str) -> _Prices:
             starts.append(len(closes))
         previous_key = key
         closes.append(close)
-    return _Prices(np.array(closes, dtype=float), stock_ids, years, np.array([*starts, len(closes)]))
+    return _Prices(np.array(closes, dtype=float), stock_ids, years, [*starts, len(closes)])
 
 
 def _read_capm(path: str) -> dict[tuple[str, int], tuple[float, float, float]]:

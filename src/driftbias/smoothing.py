@@ -140,7 +140,7 @@ def fit_alpha(
         raise ValueError("alpha grid must be non-empty")
     # The recurrence is linear in y, so scaling a large y down by a power of
     # two scales every error exactly and keeps the sums of squares in range.
-    exponent = max(0, int(np.frexp(np.abs(y).max())[1]))
+    exponent = max(0, math.frexp(float(np.abs(y).max()))[1])
     y = np.ldexp(y, -exponent)
     # smooth()'s recurrence for every candidate at once, one row each.
     keep = 1.0 - alphas
@@ -152,8 +152,10 @@ def fit_alpha(
     # argmin returns the first minimum: the smallest alpha among ties.
     sse = np.vecdot(errors, errors)
     best = int(np.argmin(sse))
-    with np.errstate(over="ignore"):
-        return float(alphas[best]), float(np.ldexp(sse[best], 2 * exponent))
+    try:
+        return float(alphas[best]), math.ldexp(float(sse[best]), 2 * exponent)
+    except OverflowError:  # the sum of squares itself is past the float range
+        return float(alphas[best]), math.inf
 
 
 def _finite_series(observations: Sequence[float]) -> np.ndarray:

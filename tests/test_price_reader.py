@@ -105,7 +105,7 @@ def outcome(read, path):
         prices = read(path)
     except (ParseError, ValueError) as exc:
         return type(exc), str(exc)
-    return prices.closes.dtype, prices.closes.tobytes(), prices.stock_ids, prices.years, prices.offsets.tolist()
+    return prices.closes.dtype, prices.closes.tobytes(), prices.stock_ids, prices.years, prices.offsets
 
 
 @settings(max_examples=300, deadline=None)
