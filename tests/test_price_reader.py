@@ -134,16 +134,19 @@ def test_plain_files_are_read_column_wise(tmp_path):
     assert outcome(pipeline._read_prices, str(path)) == outcome(pipeline._read_price_rows, str(path))
 
 
-# Cells numpy's tokenizer or date parser would take, cut or read otherwise
-# than the row loop does; each must send the file to the row loop.
+# Rows numpy's tokenizer or date parser would take, cut or read otherwise
+# than the row loop does. Each sits between stocks A and B, so that only
+# the check it names can send the file to the row loop.
 @pytest.mark.parametrize(
     "row",
     [
-        "A,2011,1.5", "A,2011-01,1.5", "A,+2011-01-01,1.5", "A,NaT,1.5", "A,0000-01-01,1.5",
-        "A,2011-01-01T00,1.5", "A,20110101,1.5", "A,2011-02-29,1.5", "A, 2011-01-01,1.5",
-        "ABCDEFGHIJKLMNOPQ,2011-01-01,1.5", "ABCDEFGHIJKLMNOP,2011-01-01,1.5", " A,2011-01-01,1.5",
-        "A ,2011-01-01,1.5", ",2011-01-01,1.5", "A,2011-01-01,1_5", "A,2011-01-01,\x0c1.5",
-        "A,2011-01-01,nan", "A,2011-01-01,1e400", "A,2011-01-01,0", "é,2011-01-01,1.5", "A,2010-12-31,1.5",
+        "AA,2011,1.5", "AA,2011-01,1.5", "AA,+2011-01-01,1.5", "AA,NaT,1.5", "AA,0000-01-01,1.5",
+        "AA,2011-01-01T00,1.5", "AA,20110101,1.5", "AA,2011-02-29,1.5", "AA, 2011-01-01,1.5",
+        "AA,2011-01-01 ,1.5", "AAAAAAAAAAAAAAAAA,2011-01-01,1.5", "AAAAAAAAAAAAAAAA,2011-01-01,1.5",
+        " AA,2011-01-01,1.5", "AA ,2011-01-01,1.5", ",2011-01-01,1.5", "AA,2011-01-01,1_5",
+        "AA,2011-01-01,\x0c1.5", "AA,2011-01-01,\t1.5", "AA,2011-01-01,１", "é,2011-01-01,1.5",
+        "AA,2011-01-01,nan", "AA,2011-01-01,1e400", "AA,2011-01-01,0", "AA,2011-01-01,-1",
+        "A,2010-12-31,1.5", "A,2011-01-01,1.5", "0,2011-01-01,1.5", "AA,2011-01-01,1,5",
     ],
 )
 def test_unusual_rows_go_to_the_row_loop(tmp_path, row):
