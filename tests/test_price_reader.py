@@ -154,3 +154,15 @@ def test_unusual_rows_go_to_the_row_loop(tmp_path, row):
     path.write_bytes(f"stock_id,date,close\nA,2011-01-01,1.0\n{row}\nB,2011-01-01,1.0\n".encode())
     assert not column_wise(path)
     assert outcome(pipeline._read_prices, str(path)) == outcome(pipeline._read_price_rows, str(path))
+
+
+@pytest.mark.parametrize(
+    "first_lines",
+    ["stock_id,date,price\n", " stock_id,date,close\n", "stock_id,date,close\r\n", "\nstock_id,date,close\n",
+     "\ufeffstock_id,date,close\n"],
+)
+def test_unusual_headers_go_to_the_row_loop(tmp_path, first_lines):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(f"{first_lines}A,2011-01-01,1.0\nA,2011-01-02,1.5\n".encode())
+    assert not column_wise(path)
+    assert outcome(pipeline._read_prices, str(path)) == outcome(pipeline._read_price_rows, str(path))
