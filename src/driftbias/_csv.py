@@ -50,15 +50,20 @@ def read_rows(path: str, header: str) -> Iterator[tuple[int, list[str]]]:
 def read_table(path: str, header: str, dtype: np.dtype) -> np.ndarray | None:
     """The data rows of ``path`` as one structured array, or None.
 
-    The file is parsed column-wise only when its first line is exactly
-    ``header``, every other byte is printable ASCII or a line end, it has
-    at least one row, and every row parses into ``dtype``. Otherwise the
-    result is None, and the caller reads the file with ``read_rows``.
+    The file is parsed column-wise only when its name is plain, its first
+    line is exactly ``header``, every other byte is printable ASCII or a
+    line end, it has at least one row, and every row parses into
+    ``dtype``. Otherwise the result is None, and the caller reads the file
+    with ``read_rows``.
 
     Float fields hold what ``float`` makes of the same cell. String fields
     hold the raw cell, neither stripped like ``read_rows`` cells nor kept
     whole when it is as long as the field, so callers must check them.
     """
+    # np.loadtxt reads a file whose name ends in one of these as compressed,
+    # and a name shaped like a URL as one to download.
+    if str(path).endswith((".gz", ".bz2", ".xz", ".lzma")) or "://" in str(path):
+        return None
     with open(path, "rb") as handle:
         if handle.readline() != header.encode() + b"\n":
             return None

@@ -126,6 +126,15 @@ def column_wise(path):
     return table is not None and pipeline._price_columns(table) is not None
 
 
+@pytest.mark.parametrize("name", ["prices.csv.gz", "prices.bz2", "prices.xz", "prices.lzma"])
+def test_names_numpy_would_decompress_go_to_the_row_loop(tmp_path, name):
+    path = tmp_path / name
+    path.write_text("stock_id,date,close\nA,2011-01-01,1.0\nA,2011-01-02,1.5\n")
+    assert not column_wise(path)
+    assert outcome(pipeline._read_prices, str(path)) == outcome(pipeline._read_price_rows, str(path))
+    assert pipeline._read_prices(str(path)).closes.tolist() == [1.0, 1.5]
+
+
 def test_plain_files_are_read_column_wise(tmp_path):
     assert column_wise(FIXTURE)
     path = tmp_path / "prices.csv"
