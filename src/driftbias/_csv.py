@@ -62,7 +62,8 @@ def read_table(path: str, header: str, dtype: np.dtype) -> np.ndarray | None:
     """
     # np.loadtxt reads a file whose name ends in one of these as compressed,
     # and a name shaped like a URL as one to download.
-    if str(path).endswith((".gz", ".bz2", ".xz", ".lzma")) or "://" in str(path):
+    name = str(path)
+    if name.endswith((".gz", ".bz2", ".xz", ".lzma")) or "://" in name:
         return None
     with open(path, "rb") as handle:
         if handle.readline() != header.encode() + b"\n":

@@ -539,6 +539,7 @@ def _price_columns(table: np.ndarray) -> _Prices | None:
         return None
     if days.min() < np.datetime64("0001-01-01"):
         return None
+    # The id cell fills the first two 8-byte words of a row.
     row_words = table.view(np.uint64).reshape(table.size, _PRICE_DTYPE.itemsize // 8)
     same_stock = (row_words[1:, 0] == row_words[:-1, 0]) & (row_words[1:, 1] == row_words[:-1, 1])
     if not (~same_stock | (days[1:] > days[:-1])).all():
