@@ -593,6 +593,11 @@ def _read_price_rows(path: str) -> _Prices:
 
 
 def _read_capm(path: str) -> dict[tuple[str, int], tuple[float, float, float]]:
+    return _read_capm_rows(path)
+
+
+def _read_capm_rows(path: str) -> dict[tuple[str, int], tuple[float, float, float]]:
+    """The CAPM file read row by row; the reference for the column-wise reader."""
     names = CAPM_HEADER.split(",")
     rows: dict[tuple[str, int], tuple[float, float, float]] = {}
     for lineno, cells in read_rows(path, CAPM_HEADER):
