@@ -78,7 +78,7 @@ class ConditionalQuery:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.nu) and math.isfinite(self.C)):
             raise ValueError(f"nu and C must be finite, got nu = {self.nu}, C = {self.C}")
-        _check_scale(self.sigma, self.T, self.direction)
+        _check_scale(self.sigma, self.T, self.direction, (self.C - self.nu * self.T,))
 
     @property
     def mills_argument(self) -> float:
@@ -114,8 +114,12 @@ class SurfaceCell(NamedTuple):
     flag: str
 
 
-def _check_scale(sigma: float, T: float, direction: Direction) -> None:
-    """Checks shared by ConditionalQuery and bias_surface."""
+def _check_scale(sigma: float, T: float, direction: Direction, excess: Sequence[float]) -> None:
+    """Checks shared by ConditionalQuery and bias_surface.
+
+    ``excess`` holds the extreme values of C - nu*T. Each must give a
+    finite d = (C - nu*T) / (sigma*sqrt(T)); a subnormal scale overflows it.
+    """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if not T > 0:
@@ -126,6 +130,11 @@ def _check_scale(sigma: float, T: float, direction: Direction) -> None:
         raise ValueError(f"sigma * sqrt(T) underflows to 0, got sigma = {sigma}, T = {T}")
     if not isinstance(direction, Direction):
         raise ValueError(f"direction must be a Direction, got {direction!r}")
+    if not all(math.isfinite(value / (sigma * math.sqrt(T))) for value in excess):
+        raise ValueError(
+            f"d = (C - nu*T) / (sigma*sqrt(T)) must be finite, got sigma = {sigma}, T = {T}, "
+            f"C - nu*T up to {max(map(abs, excess))}"
+        )
 
 
 def _closed_form(
@@ -144,14 +153,16 @@ def _closed_form(
 
     Returns:
         (expectation, event probability, d, degenerate), where degenerate
-        marks |d| > MILLS_GUARD on the conditioned side.
+        marks d past MILLS_GUARD on the conditioned side, or not finite.
+        Degenerate entries carry no meaningful expectation.
     """
     side = 1.0 if direction is Direction.ABOVE else -1.0
     d = (C - nu * T) / (sigma * math.sqrt(T))
     z = side * d
-    inverse_mills = _SQRT_2_OVER_PI / special.erfcx(z / _SQRT_2)
+    # The guard keeps erfcx off +inf, whose 0.0 would divide by zero.
+    inverse_mills = _SQRT_2_OVER_PI / special.erfcx(np.minimum(z, MILLS_GUARD) / _SQRT_2)
     expectation = nu + side * (sigma / math.sqrt(T)) * inverse_mills
-    return expectation, special.ndtr(-z), d, z > MILLS_GUARD
+    return expectation, special.ndtr(-z), d, (z > MILLS_GUARD) | ~np.isfinite(d)
 
 
 def conditional_nu(q: ConditionalQuery) -> ConditionalResult:
@@ -319,9 +330,14 @@ def bias_surface(
         raise ValueError("mu_grid and C_grid must be non-empty")
     if not (np.isfinite(mu_values).all() and np.isfinite(c_values).all()):
         raise ValueError("mu_grid and C_grid must be finite")
-    _check_scale(sigma, T, direction)
-    c_array = np.array(c_values)
     half_variance = 0.5 * sigma * sigma
+    # C - nu*T rises with C and falls with nu, so two corners bound every cell's d.
+    corners = (
+        max(c_values) - (min(mu_values) - half_variance) * T,
+        min(c_values) - (max(mu_values) - half_variance) * T,
+    )
+    _check_scale(sigma, T, direction, corners)
+    c_array = np.array(c_values)
     flags = ("ok", "degenerate")
     cells = []
     # One closed-form call per row: a whole-grid call holds several

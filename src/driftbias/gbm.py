@@ -84,6 +84,8 @@ class PricePath:
             raise ValueError("a price path needs at least two prices")
         if not (prices > 0).all():
             raise ValueError("prices must be strictly positive")
+        if not np.isfinite(prices).all():
+            raise ValueError("prices must be finite")
 
     @property
     def n_steps(self) -> int:
@@ -170,13 +172,21 @@ def path_from_normals(params: GbmParams, a0: float, T: float, normals: np.ndarra
 
     Feeding an all-zero ``normals`` array yields the noise-free path
     A_t = a0 * exp(nu * t).
+
+    Raises:
+        ValueError: a price overflows or underflows the float range.
     """
     normals = np.asarray(normals, dtype=float)
     n = normals.size
     _validate_grid(a0, T, n)
     h = T / n
-    increments = params.nu * h + params.sigma * math.sqrt(h) * normals
-    prices = np.concatenate(([a0], a0 * np.exp(np.cumsum(increments))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        increments = params.nu * h + params.sigma * math.sqrt(h) * normals
+        prices = np.concatenate(([a0], a0 * np.exp(np.cumsum(increments))))
+    if not ((prices > 0).all() and np.isfinite(prices).all()):
+        raise ValueError(
+            f"the simulated prices leave the float range: mu = {params.mu}, T = {T}, a0 = {a0}"
+        )
     return PricePath(t0=0.0, step_h=h, prices=prices)
 
 

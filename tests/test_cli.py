@@ -305,14 +305,29 @@ def test_conditional_rejects_non_finite_arguments(capsys):
         ["limits", "--nu", "nan", "--direction", "above"],
         ["surface", "--mu-min", "0", "--mu-max", "1", "--mu-steps", "2", "--c-min", "0", "--c-max", "inf",
          "--c-steps", "2", "--sigma", "0.3", "--T", "1", "--direction", "above"],
+        # A subnormal sigma * sqrt(T) overflows d, which once printed -inf or a RuntimeWarning.
+        ["conditional", "--nu", "1", "--sigma", "2.2e-311", "--T", "1", "--C", "0", "--direction", "above"],
+        ["conditional", "--nu", "1", "--sigma", "2.2e-311", "--T", "1", "--C", "0", "--direction", "at_or_below"],
+        ["surface", "--mu-min", "0", "--mu-max", "1", "--mu-steps", "2", "--c-min", "0", "--c-max", "1",
+         "--c-steps", "2", "--sigma", "2.2e-311", "--T", "1", "--direction", "above"],
     ],
-    ids=["a0", "T", "mu", "sigma", "limits", "surface"],
+    ids=["a0", "T", "mu", "sigma", "limits", "surface", "d_above", "d_at_or_below", "d_surface"],
 )
 def test_file_free_commands_reject_non_finite_arguments(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "finite" in err and "\n" not in err.strip()
+
+
+@pytest.mark.parametrize("mu", ["1000", "-1000"])
+def test_simulate_rejects_prices_past_the_float_range(capsys, mu):
+    # The drift once overflowed exp: a RuntimeWarning, an inf close and exit 0.
+    code, out, err = run_cli(
+        capsys, "simulate", "--mu", mu, "--sigma", "0.3", "--a0", "100", "--T", "1", "--n", "3", "--seed", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: the simulated prices leave the float range: mu = {float(mu)}, T = 1.0, a0 = 100.0\n"
 
 
 def test_import_leaves_scipy_integrate_unloaded():

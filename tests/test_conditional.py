@@ -52,6 +52,12 @@ def test_query_validation():
     # The scale sigma * sqrt(T) divides d; an underflow to 0 once escaped as ZeroDivisionError.
     with pytest.raises(ValueError, match="underflows"):
         q(sigma=1e-200, T=1e-300)
+    # A subnormal scale overflows d itself, which once came out as -inf.
+    for direction in ce.Direction:
+        with pytest.raises(ValueError, match="must be finite"):
+            q(nu=1.0, sigma=2.2e-311, C=0.0, direction=direction)
+    with pytest.raises(ValueError, match="must be finite"):
+        q(nu=-1e308, sigma=0.3, C=1e308)
 
 
 def test_mills_argument():

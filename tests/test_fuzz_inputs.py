@@ -9,7 +9,8 @@ and a run that exits 0 must print no ``nan`` or ``inf``.
 
 Valid numbers stay within magnitudes real inputs have (prices up to 1e4,
 rates of order one, value series up to 1e6, drifts and volatilities of
-order one, horizons up to 50 years, and no argument nearer 0 than 1e-6).
+order one, horizons up to 50 years). Arguments also come nearer 0 than
+1e-6, down to subnormal numbers.
 """
 
 import contextlib
@@ -93,10 +94,11 @@ def portfolio_files(draw):
 
 
 def arguments(low, high):
-    """A numeric argument: mostly in [low, high], sometimes zero or not finite."""
+    """A numeric argument: mostly in [low, high], sometimes within 1e-6 of zero, zero or not finite."""
     return st.one_of(
         realistic(low, high),
-        st.sampled_from(["0", "-0.0", "nan", "inf", "-inf", "1e400"]),
+        st.floats(-1e-6, 1e-6).map(repr),
+        st.sampled_from(["0", "-0.0", "5e-324", "2.2e-311", "-2.2e-311", "nan", "inf", "-inf", "1e400"]),
     )
 
 

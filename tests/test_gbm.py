@@ -219,6 +219,8 @@ def test_price_path_validation():
         gbm.PricePath(t0=0.0, step_h=0.0, prices=(100.0, 101.0))
     with pytest.raises(ValueError):
         gbm.PricePath(t0=0.0, step_h=1.0, prices=(100.0, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        gbm.PricePath(t0=0.0, step_h=1.0, prices=(100.0, math.inf))
 
 
 def test_paths_are_read_only():
