@@ -157,7 +157,8 @@ def _closed_form(
         Degenerate entries carry no meaningful expectation.
     """
     side = 1.0 if direction is Direction.ABOVE else -1.0
-    d = (C - nu * T) / (sigma * math.sqrt(T))
+    with np.errstate(over="ignore"):  # an overflowing d is marked degenerate
+        d = (C - nu * T) / (sigma * math.sqrt(T))
     z = side * d
     # The guard keeps erfcx off +inf, whose 0.0 would divide by zero.
     inverse_mills = _SQRT_2_OVER_PI / special.erfcx(np.minimum(z, MILLS_GUARD) / _SQRT_2)

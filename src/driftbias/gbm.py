@@ -234,15 +234,30 @@ def estimate_paths(paths: Sequence[PricePath]) -> tuple[np.ndarray, np.ndarray, 
         InsufficientDataError: a path with fewer than two returns.
     """
     sizes = np.array([path.prices.size for path in paths])
+    closes = np.concatenate([path.prices for path in paths])
+    return _estimate_segments(closes, sizes, np.array([path.step_h for path in paths]))
+
+
+def _estimate_segments(
+    closes: np.ndarray, sizes: np.ndarray, step_h: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """nu_hat, sigma2_hat and R of consecutive price segments of ``closes``.
+
+    Segment k holds ``sizes[k]`` prices and steps ``step_h`` (or
+    ``step_h[k]``). One buffer holds the log prices, then the returns,
+    then their deviations and squares.
+
+    Raises:
+        InsufficientDataError: a segment with fewer than two returns.
+    """
     _require_two_returns(int(sizes.min()) - 1)
     starts = np.cumsum(sizes) - sizes
-    z = np.log(np.concatenate([path.prices for path in paths]))
-    # Each path's returns follow a 0.0 in the slot where the step from the
-    # previous path's last price would be.
-    steps = np.diff(z, prepend=z[0])
+    steps = np.log(closes)
+    totals = steps[starts + sizes - 1] - steps[starts]
+    np.subtract(steps[1:], steps[:-1], out=steps[1:])
+    # Each segment's returns follow a 0.0 in the slot of the step from the
+    # previous segment's last price.
     steps[starts] = 0.0
-    totals = z[starts + sizes - 1] - z[starts]
-    step_h = np.array([path.step_h for path in paths])
     nu_hat, sigma2_hat = _estimate(steps, starts, sizes, totals, step_h)
     return nu_hat, sigma2_hat, totals
 
@@ -263,7 +278,7 @@ def _estimate(
     totals: float | np.ndarray,
     step_h: float | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """nu_hat and sigma2_hat of consecutive segments of ``steps``.
+    """nu_hat and sigma2_hat of consecutive segments of ``steps``, which it overwrites.
 
     Segment k starts at ``starts[k]`` and holds ``sizes[k]`` values: a 0.0,
     then its n = sizes[k] - 1 >= 2 returns. np.add.reduceat sums a segment
@@ -274,9 +289,10 @@ def _estimate(
     """
     n = sizes - 1
     mean = np.add.reduceat(steps, starts) / n
-    deviations = steps - np.repeat(mean, sizes)
-    deviations[starts] = 0.0
-    sigma2_hat = np.add.reduceat(deviations * deviations, starts) / (n - 1) / step_h
+    steps -= np.repeat(mean, sizes)
+    steps[starts] = 0.0
+    np.multiply(steps, steps, out=steps)
+    sigma2_hat = np.add.reduceat(steps, starts) / (n - 1) / step_h
     return totals / (n * step_h), sigma2_hat
 
 

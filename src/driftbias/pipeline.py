@@ -23,16 +23,16 @@ from __future__ import annotations
 import datetime
 import math
 from dataclasses import dataclass, replace
-from itertools import groupby
+from itertools import chain, groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ._csv import finite, invalid, read_rows, read_table
-from .conditional import ConditionalQuery, Direction, conditional_nu
-from .errors import DegenerateConditionError, InsufficientDataError, ParseError
-from .gbm import PricePath, estimate_paths
-from .smoothing import DEFAULT_ALPHA, DEFAULT_FIT_GRID, SmoothingConfig, fit_alpha, smooth
+from .conditional import Direction, _closed_form
+from .errors import InsufficientDataError, ParseError
+from .gbm import PricePath, _estimate_segments, _require_two_returns
+from .smoothing import DEFAULT_ALPHA, DEFAULT_FIT_GRID, SmoothingConfig, _finite_series, _fit_alphas, _forecasts, smooth
 
 __all__ = [
     "PipelineConfig",
@@ -89,24 +89,33 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class StockDataset:
-    """One stock's per-period price paths and CAPM inputs.
+    """One stock's closes, cut into periods, and its CAPM inputs.
 
-    Periods are consecutive calendar years; ``beta`` is constant for the
+    Periods are consecutive calendar years. Period k holds
+    ``closes[offsets[k]:offsets[k + 1]]``, at least two finite, positive
+    prices a step of ``step_h`` years apart. ``beta`` is constant for the
     stock while the risk-free rate and market expectation vary by period.
     """
 
     stock_id: str
     years: tuple[int, ...]
-    period_paths: tuple[PricePath, ...]
+    closes: np.ndarray
+    offsets: np.ndarray
+    step_h: float
     beta: float
     risk_free: tuple[float, ...]
     market_return_expectation: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        closes = np.array(self.closes, dtype=float)
+        offsets = np.array(self.offsets, dtype=np.intp)
+        closes.flags.writeable = offsets.flags.writeable = False
+        object.__setattr__(self, "closes", closes)
+        object.__setattr__(self, "offsets", offsets)
         count = len(self.years)
         if count == 0:
             raise ValueError(f"stock {self.stock_id}: no periods")
-        if not (len(self.period_paths) == len(self.risk_free) == len(self.market_return_expectation) == count):
+        if not (offsets.shape == (count + 1,) and len(self.risk_free) == len(self.market_return_expectation) == count):
             raise ValueError(f"stock {self.stock_id}: per-period fields have mismatched lengths")
         for previous, current in zip(self.years, self.years[1:]):
             if current != previous + 1:
@@ -114,10 +123,27 @@ class StockDataset:
                     f"stock {self.stock_id}: periods must be consecutive years, "
                     f"got {previous} then {current}"
                 )
+        if not self.step_h > 0:
+            raise ValueError(f"step_h must be positive, got {self.step_h}")
+        sizes = offsets[1:] - offsets[:-1]
+        if closes.ndim != 1 or offsets[0] != 0 or offsets[-1] != closes.size or sizes.min() < 2:
+            raise ValueError(f"stock {self.stock_id}: offsets must cut closes into periods of >= 2 prices")
+        # A nan makes both tests fail.
+        if not (closes.min() > 0 and closes.max() < math.inf):
+            raise ValueError(f"stock {self.stock_id}: closes must be finite and strictly positive")
 
     @property
     def n_periods(self) -> int:
         return len(self.years)
+
+    @property
+    def period_paths(self) -> tuple[PricePath, ...]:
+        """Each period as a PricePath that starts at t0 = its period index."""
+        bounds = self.offsets.tolist()
+        return tuple(
+            PricePath(t0=float(k), step_h=self.step_h, prices=self.closes[start:stop])
+            for k, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+        )
 
 
 @dataclass(frozen=True)
@@ -172,12 +198,167 @@ def capm_benchmark(risk_free: float, beta: float, market_return_expectation: flo
     return risk_free + beta * (market_return_expectation - risk_free)
 
 
-def _period_benchmark(data: StockDataset, index: int, config: PipelineConfig) -> float:
+# Every function below that scores or threads gates works on columns: the
+# periods of one or many stocks, stock after stock, one element each. The
+# per-stock calls are the one-stock case of the same code.
+
+
+class _Columns(NamedTuple):
+    """The periods of some stocks as columns: the closes of every period in
+    one array, and each period's number of closes, step and benchmark C."""
+
+    closes: np.ndarray
+    sizes: np.ndarray
+    step_h: np.ndarray
+    benchmark: np.ndarray
+
+
+def _columns(stocks: Sequence[StockDataset], config: PipelineConfig) -> _Columns:
+    """Every period of ``stocks`` as columns, stock after stock."""
+    counts = [data.n_periods for data in stocks]
+    sizes = np.diff(np.concatenate([data.offsets for data in stocks]))
+    # Every period holds at least two closes; only the step from one stock's
+    # last offset to the next stock's 0 is negative.
+    sizes = sizes[sizes > 0]
+    step_h = np.repeat([data.step_h for data in stocks], counts)
     if config.benchmark_mode == "constant":
-        return float(config.constant_c)
-    return capm_benchmark(
-        data.risk_free[index], data.beta, data.market_return_expectation[index]
+        benchmark = np.full(sizes.size, float(config.constant_c))
+    else:
+        risk_free = np.fromiter(chain.from_iterable(data.risk_free for data in stocks), float, sizes.size)
+        market = np.fromiter(
+            chain.from_iterable(data.market_return_expectation for data in stocks), float, sizes.size
+        )
+        beta = np.repeat([data.beta for data in stocks], counts)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge rates give C = +-inf or nan
+            benchmark = capm_benchmark(risk_free, beta, market)
+    return _Columns(np.concatenate([data.closes for data in stocks]), sizes, step_h, benchmark)
+
+
+def _gates(
+    realized_return: np.ndarray, benchmark: np.ndarray, nu_hat: np.ndarray, sigma2_hat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The next period's (invested, nu_tilde, degenerate) from each period's values.
+
+    The gate opens when R beat C, and then the conditional formula is
+    evaluated at the period's own estimates (T = 1 year, direction ABOVE).
+    An open gate is degenerate, and the next period not invested, where
+    ``ConditionalQuery`` would refuse the query (nu or C not finite, sigma
+    not finite and > 0) or ``_closed_form`` marks it (d past the guard or
+    not finite).
+    """
+    with np.errstate(invalid="ignore"):  # a negative sigma2_hat gives nan, which is refused
+        sigma = np.sqrt(sigma2_hat)
+    opened = ~(realized_return <= benchmark)
+    valid = opened & np.isfinite(nu_hat) & np.isfinite(benchmark) & np.isfinite(sigma) & (sigma > 0)
+    expectation, _, _, degenerate = _closed_form(
+        nu_hat[valid], sigma[valid], 1.0, benchmark[valid], Direction.ABOVE
     )
+    invested = valid.copy()
+    invested[valid] = ~degenerate
+    nu_tilde = np.zeros(invested.shape)
+    nu_tilde[invested] = expectation[~degenerate]
+    return invested, nu_tilde, opened & ~invested
+
+
+def _thread_gates(
+    realized_return: np.ndarray,
+    benchmark: np.ndarray,
+    nu_hat: np.ndarray,
+    sigma2_hat: np.ndarray,
+    counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each period's (invested, nu_tilde, degenerate), decided by the
+    period before it in its stock, and each stock's next raw forecast.
+
+    A stock's first period has no prior performance: not invested, nu_tilde = 0.
+    """
+    gate = _gates(realized_return, benchmark, nu_hat, sigma2_hat)
+    ends = np.cumsum(counts)
+    firsts = ends - counts
+    invested, nu_tilde, degenerate = (np.concatenate((values[:1], values[:-1])) for values in gate)
+    invested[firsts] = degenerate[firsts] = False
+    nu_tilde[firsts] = 0.0
+    return invested, nu_tilde, degenerate, gate[1][ends - 1]
+
+
+def _reports(
+    stock_ids: Sequence[str],
+    bias: np.ndarray,
+    counts: np.ndarray,
+    raw_next: np.ndarray,
+    holdout_nu_hat: np.ndarray,
+    config: PipelineConfig,
+) -> list[ForecastReport]:
+    """Score each stock's next raw forecast against its holdout estimate.
+
+    ``bias`` holds every stock's bias series, stock after stock, ``counts``
+    their lengths (each >= 3). Stocks of equal length are smoothed, and
+    their alphas fitted, together. The squared deviations are taken in
+    Python floats, as ``v ** 2`` may differ from numpy's ``v * v``.
+
+    Raises:
+        ValueError: a stock's bias series is not finite, as from fit_alpha or smooth.
+    """
+    ends = np.cumsum(counts)
+    firsts = ends - counts
+    finite = np.logical_and.reduceat(np.isfinite(bias), firsts)
+    smoothed = np.zeros(len(counts))
+    for count in np.unique(counts).tolist():
+        group = np.flatnonzero((counts == count) & finite)
+        rows = bias[firsts[group, None] + np.arange(count)]
+        alpha = _FIT_GRID[_fit_alphas(rows, _FIT_GRID)[0]] if config.fit_alpha else config.alpha
+        smoothed[group] = _forecasts(rows.T, alpha, rows[:, 0])[-1]
+    reports = []
+    columns = (firsts, ends, finite, bias[ends - 1], raw_next, holdout_nu_hat, smoothed)
+    for stock_id, first, end, ok, last_bias, raw, holdout, forecast in zip(
+        stock_ids, *(column.tolist() for column in columns)
+    ):
+        if not ok:
+            _finite_series(bias[first:end])
+        simple, es = raw - last_bias, raw - forecast
+        reports.append(
+            ForecastReport(
+                stock_id=stock_id,
+                holdout_nu_hat=holdout,
+                raw_conditional=raw,
+                simple_adjusted=simple,
+                es_adjusted=es,
+                sd_raw=(raw - holdout) ** 2,
+                sd_simple=(simple - holdout) ** 2,
+                sd_es=(es - holdout) ** 2,
+            )
+        )
+    return reports
+
+
+_FIT_GRID = np.sort(np.array(DEFAULT_FIT_GRID))
+
+
+def _score(
+    stock_ids: Sequence[str], columns: _Columns, counts: np.ndarray, config: PipelineConfig
+) -> list[ForecastReport]:
+    """The reports of stocks of ``counts[s]`` periods each, the last one the
+    holdout; every stock must pass ``_require_scorable``."""
+    nu_hat, sigma2_hat, realized = _estimate_segments(columns.closes, columns.sizes, columns.step_h)
+    holdout = np.cumsum(counts) - 1
+    sample = np.ones(nu_hat.size, dtype=bool)
+    sample[holdout] = False
+    nu_hat_sample = nu_hat[sample]
+    invested, nu_tilde, _, raw_next = _thread_gates(
+        realized[sample], columns.benchmark[sample], nu_hat_sample, sigma2_hat[sample], counts - 1
+    )
+    bias = np.where(invested, nu_tilde - nu_hat_sample, 0.0)
+    return _reports(stock_ids, bias, counts - 1, raw_next, nu_hat[holdout], config)
+
+
+def _require_scorable(stock_id: str, count: int, shortest: int) -> None:
+    """``score_and_report``'s checks on a stock of ``count`` sample periods
+    whose shortest period, the holdout included, has ``shortest`` returns."""
+    if count < 2:
+        raise InsufficientDataError(f"stock {stock_id}: need at least 2 periods, got {count}")
+    _require_two_returns(shortest)
+    if count < 3:
+        raise InsufficientDataError(f"scoring needs >= 3 records, got {count}")
 
 
 def build_period_records(
@@ -197,62 +378,16 @@ def build_period_records(
         InsufficientDataError: fewer than two periods, or a period with
             fewer than two returns.
     """
-    return _estimate_records(data, config, ())[0]
-
-
-def _estimate_records(
-    data: StockDataset, config: PipelineConfig, extra: tuple[PricePath, ...]
-) -> tuple[list[PeriodRecord], np.ndarray]:
-    """``build_period_records``, plus the nu_hat of each ``extra`` path from the same pass."""
     if data.n_periods < 2:
         raise InsufficientDataError(
             f"stock {data.stock_id}: need at least 2 periods, got {data.n_periods}"
         )
-    nu_hat, sigma2_hat, totals = estimate_paths(data.period_paths + extra)
-    count = data.n_periods
-    records: list[PeriodRecord] = []
-    invested = False
-    nu_tilde = 0.0
-    degenerate = False
-    periods = zip(nu_hat[:count].tolist(), sigma2_hat[:count].tolist(), totals[:count].tolist())
-    for index, (period_nu_hat, period_sigma2_hat, total) in enumerate(periods):
-        benchmark = _period_benchmark(data, index, config)
-        records.append(
-            PeriodRecord(
-                period_index=index,
-                nu_hat=period_nu_hat,
-                sigma2_hat=period_sigma2_hat,
-                realized_return=total,
-                benchmark_c=benchmark,
-                invested=invested,
-                nu_tilde=nu_tilde,
-                degenerate=degenerate,
-            )
-        )
-        invested, nu_tilde, degenerate = _gate_forecast(
-            total, benchmark, period_nu_hat, period_sigma2_hat
-        )
-    return records, nu_hat[count:]
-
-
-def _gate_forecast(
-    realized_return: float, benchmark: float, nu_hat: float, sigma2_hat: float
-) -> tuple[bool, float, bool]:
-    """Next period's (invested, nu_tilde, degenerate) from this period."""
-    if realized_return <= benchmark:
-        return False, 0.0, False
-    try:
-        query = ConditionalQuery(
-            nu=nu_hat,
-            sigma=math.sqrt(sigma2_hat),
-            T=1.0,
-            C=benchmark,
-            direction=Direction.ABOVE,
-        )
-        forecast = conditional_nu(query).expectation
-    except (ValueError, DegenerateConditionError):
-        return False, 0.0, True
-    return True, forecast, False
+    columns = _columns([data], config)
+    estimates = _estimate_segments(columns.closes, columns.sizes, columns.step_h)
+    nu_hat, sigma2_hat, realized = estimates
+    gates = _thread_gates(realized, columns.benchmark, nu_hat, sigma2_hat, np.array([data.n_periods]))[:3]
+    values = (nu_hat, sigma2_hat, realized, columns.benchmark, *gates)
+    return [PeriodRecord(index, *row) for index, row in enumerate(zip(*(column.tolist() for column in values)))]
 
 
 def simple_adjust(records: Sequence[PeriodRecord]) -> list[float]:
@@ -294,17 +429,10 @@ def next_raw_forecast(records: Sequence[PeriodRecord]) -> tuple[float, bool]:
     forecast yields (0.0, flag) per the not-invested convention.
     """
     last = records[-1]
-    _, nu_tilde, degenerate = _gate_forecast(
-        last.realized_return, last.benchmark_c, last.nu_hat, last.sigma2_hat
+    _, nu_tilde, degenerate = _gates(
+        *(np.array([value]) for value in (last.realized_return, last.benchmark_c, last.nu_hat, last.sigma2_hat))
     )
-    return nu_tilde, degenerate
-
-
-def _smoothing_for(records: Sequence[PeriodRecord], config: PipelineConfig) -> SmoothingConfig:
-    if config.fit_alpha:
-        alpha, _ = fit_alpha([record.bias for record in records], DEFAULT_FIT_GRID)
-        return SmoothingConfig(alpha=alpha)
-    return SmoothingConfig(alpha=config.alpha)
+    return float(nu_tilde[0]), bool(degenerate[0])
 
 
 def score_records(
@@ -321,29 +449,25 @@ def score_records(
     """
     if len(records) < 3:
         raise InsufficientDataError(f"scoring needs >= 3 records, got {len(records)}")
-    simple_next = raw_next - records[-1].bias
-    smoothing_config = _smoothing_for(records, config)
-    smoothed = smooth([record.bias for record in records], smoothing_config)
-    es_next = raw_next - float(smoothed.forecasts[-1])
-    return ForecastReport(
-        stock_id=stock_id,
-        holdout_nu_hat=holdout_nu_hat,
-        raw_conditional=raw_next,
-        simple_adjusted=simple_next,
-        es_adjusted=es_next,
-        sd_raw=(raw_next - holdout_nu_hat) ** 2,
-        sd_simple=(simple_next - holdout_nu_hat) ** 2,
-        sd_es=(es_next - holdout_nu_hat) ** 2,
-    )
+    bias = np.array([record.bias for record in records])
+    counts = np.array([len(records)])
+    return _reports([stock_id], bias, counts, np.array([raw_next]), np.array([holdout_nu_hat]), config)[0]
 
 
 def score_and_report(
     data: StockDataset, holdout: PricePath, config: PipelineConfig = PipelineConfig()
 ) -> ForecastReport:
     """Build records from the sample periods and score the holdout period."""
-    records, (holdout_nu_hat,) = _estimate_records(data, config, (holdout,))
-    raw_next, _ = next_raw_forecast(records)
-    return score_records(data.stock_id, records, raw_next, float(holdout_nu_hat), config)
+    shortest = min(int(np.diff(data.offsets).min()), holdout.prices.size) - 1
+    _require_scorable(data.stock_id, data.n_periods, shortest)
+    columns = _columns([data], config)
+    columns = _Columns(
+        np.concatenate((columns.closes, holdout.prices)),
+        np.append(columns.sizes, holdout.prices.size),
+        np.append(columns.step_h, holdout.step_h),
+        np.append(columns.benchmark, math.nan),  # the holdout's gate is never read
+    )
+    return _score([data.stock_id], columns, np.array([data.n_periods + 1]), config)[0]
 
 
 def split_holdout(data: StockDataset) -> tuple[StockDataset, PricePath]:
@@ -352,14 +476,16 @@ def split_holdout(data: StockDataset) -> tuple[StockDataset, PricePath]:
         raise InsufficientDataError(
             f"stock {data.stock_id}: need at least 2 periods to hold one out"
         )
+    cut = int(data.offsets[-2])
     sample = replace(
         data,
         years=data.years[:-1],
-        period_paths=data.period_paths[:-1],
+        closes=data.closes[:cut],
+        offsets=data.offsets[:-1],
         risk_free=data.risk_free[:-1],
         market_return_expectation=data.market_return_expectation[:-1],
     )
-    return sample, data.period_paths[-1]
+    return sample, PricePath(t0=float(data.n_periods - 1), step_h=data.step_h, prices=data.closes[cut:])
 
 
 def score_portfolio(
@@ -367,17 +493,36 @@ def score_portfolio(
 ) -> tuple[list[ForecastReport], tuple[float, float, float]]:
     """Score every stock (last period held out) and sum the deviations.
 
-    Returns the per-stock reports ordered by stock id plus the totals
-    (sd_raw, sd_simple, sd_es).
+    All stocks are scored together, as columns. A stock that cannot be
+    scored raises what ``score_and_report`` raises for it, after the
+    stocks before it in id order were scored.
+
+    Returns:
+        The per-stock reports ordered by stock id plus the totals
+        (sd_raw, sd_simple, sd_es).
     """
-    reports = []
-    for data in sorted(datasets, key=lambda item: item.stock_id):
-        sample, holdout = split_holdout(data)
-        reports.append(score_and_report(sample, holdout, config))
+    stocks = sorted(datasets, key=lambda item: item.stock_id)
+    reports: list[ForecastReport] = []
+    if stocks:
+        columns = _columns(stocks, config)
+        counts = np.array([data.n_periods for data in stocks])
+        firsts = np.cumsum(counts) - counts
+        shortest = np.minimum.reduceat(columns.sizes, firsts) - 1
+        scorable = (counts >= 4) & (shortest >= 2)
+        valid = len(stocks) if scorable.all() else int(np.argmin(scorable))
+        if valid:
+            periods = int(firsts[valid - 1] + counts[valid - 1])
+            cut = int(columns.sizes[:periods].sum())
+            prefix = _Columns(columns.closes[:cut], *(column[:periods] for column in columns[1:]))
+            reports = _score([data.stock_id for data in stocks[:valid]], prefix, counts[:valid], config)
+        if valid < len(stocks):
+            split_holdout(stocks[valid])
+            _require_scorable(stocks[valid].stock_id, int(counts[valid]) - 1, int(shortest[valid]))
+    # fsum is exact, so the totals do not depend on the interpreter's own float sum.
     totals = (
-        sum(report.sd_raw for report in reports),
-        sum(report.sd_simple for report in reports),
-        sum(report.sd_es for report in reports),
+        math.fsum(report.sd_raw for report in reports),
+        math.fsum(report.sd_simple for report in reports),
+        math.fsum(report.sd_es for report in reports),
     )
     return reports, totals
 
@@ -456,38 +601,41 @@ def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> list[Sto
     """
     prices = _read_prices(prices_path)
     capm_rows = _read_capm(capm_path)
+    rates = list(map(capm_rows.get, zip(prices.stock_ids, prices.years)))
     step_h = 1.0 / config.h_per_year
+    sizes = np.diff(prices.offsets).tolist()
     datasets = []
+    first = 0
     # Rows are sorted by (stock_id, date), so each stock's segments are adjacent.
-    for stock_id, segments in groupby(range(len(prices.years)), key=prices.stock_ids.__getitem__):
-        segments = list(segments)
-        years = prices.years[segments[0] : segments[-1] + 1]
+    for stock_id, segments in groupby(prices.stock_ids):
+        end = first + len(list(segments))
+        years = prices.years[first:end]
         for previous, current in zip(years, years[1:]):
             if current != previous + 1:
                 raise ParseError(
                     f"{prices_path}: stock {stock_id} skips from {previous} to {current}; "
                     "periods must be consecutive calendar years"
                 )
-        paths = []
-        for k, year in zip(segments, years):
-            closes = prices.closes[prices.offsets[k] : prices.offsets[k + 1]]
-            if closes.size < 2:
-                raise InsufficientDataError(
-                    f"stock {stock_id}, year {year}: a period needs >= 2 observations, "
-                    f"got {closes.size}"
-                )
-            paths.append(PricePath(t0=float(year - years[0]), step_h=step_h, prices=closes))
-        beta, risk_free, market = _capm_for_stock(capm_path, capm_rows, stock_id, years)
+        if min(sizes[first:end]) < 2:
+            size, year = next(pair for pair in zip(sizes[first:end], years) if pair[0] < 2)
+            raise InsufficientDataError(
+                f"stock {stock_id}, year {year}: a period needs >= 2 observations, got {size}"
+            )
+        beta, risk_free, market = _capm_for_stock(capm_path, rates[first:end], stock_id, years)
+        start = prices.offsets[first]
         datasets.append(
             StockDataset(
                 stock_id=stock_id,
                 years=tuple(years),
-                period_paths=tuple(paths),
+                closes=prices.closes[start : prices.offsets[end]],
+                offsets=[offset - start for offset in prices.offsets[first : end + 1]],
+                step_h=step_h,
                 beta=beta,
                 risk_free=risk_free,
                 market_return_expectation=market,
             )
         )
+        first = end
     return datasets
 
 
@@ -592,8 +740,44 @@ def _read_price_rows(path: str) -> _Prices:
     return _Prices(np.array(closes, dtype=float), stock_ids, years, [*starts, len(closes)])
 
 
+# A CAPM row as numpy's tokenizer stores it: the id and year cells as
+# NUL-padded bytes, then the three rates.
+_CAPM_DTYPE = np.dtype(
+    [("stock_id", "S16"), ("year", "S8"), ("beta", "f8"), ("risk_free", "f8"), ("market_return_expectation", "f8")]
+)
+
+
 def _read_capm(path: str) -> dict[tuple[str, int], tuple[float, float, float]]:
-    return _read_capm_rows(path)
+    """The CAPM file column-wise, or row by row when it is not plain.
+
+    Both ways give the same rows, or the row loop's error.
+    """
+    table = read_table(path, CAPM_HEADER, _CAPM_DTYPE)
+    rows = None if table is None else _capm_columns(table)
+    return _read_capm_rows(path) if rows is None else rows
+
+
+def _capm_columns(table: np.ndarray) -> dict[tuple[str, int], tuple[float, float, float]] | None:
+    """The rows of a parsed CAPM table, or None unless the row loop would
+    accept every row as it stands."""
+    names = CAPM_HEADER.split(",")[2:]
+    if not all(np.isfinite(table[name]).all() for name in names):
+        return None
+    # Bytes 16-23 of a row hold the year cell: one to seven ASCII digits,
+    # then NUL padding. A cell as long as the field may have been cut.
+    year_bytes = table.view(np.uint8).reshape(table.size, _CAPM_DTYPE.itemsize)[:, 16:24]
+    if not (((year_bytes - ord("0") <= 9) | (year_bytes == 0)).all() and year_bytes[:, 0].all()):
+        return None
+    if year_bytes[:, -1].any():
+        return None
+    stock_ids = [cell.decode() for cell in table["stock_id"].tolist()]
+    # The row loop strips each id; one as long as the field may have been cut.
+    width = _CAPM_DTYPE["stock_id"].itemsize
+    if not all(stock_id == stock_id.strip() and len(stock_id) < width for stock_id in set(stock_ids)):
+        return None
+    keys = zip(stock_ids, table["year"].astype(np.int64).tolist())
+    rows = dict(zip(keys, zip(*(table[name].tolist() for name in names))))
+    return rows if len(rows) == table.size else None  # a duplicate (id, year) goes to the row loop
 
 
 def _read_capm_rows(path: str) -> dict[tuple[str, int], tuple[float, float, float]]:
@@ -616,24 +800,19 @@ def _read_capm_rows(path: str) -> dict[tuple[str, int], tuple[float, float, floa
 
 def _capm_for_stock(
     path: str,
-    rows: dict[tuple[str, int], tuple[float, float, float]],
+    rates: list[tuple[float, float, float] | None],
     stock_id: str,
     years: Sequence[int],
 ) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
-    betas = []
-    risk_free = []
-    market = []
-    for year in years:
-        try:
-            beta, rf, mkt = rows[(stock_id, year)]
-        except KeyError:
-            raise ParseError(f"{path}: missing CAPM row for stock {stock_id}, year {year}") from None
-        betas.append(beta)
-        risk_free.append(rf)
-        market.append(mkt)
+    """The stock's beta, risk-free rates and market expectations from the
+    CAPM rows of its years, None where a year has none."""
+    if None in rates:
+        year = years[rates.index(None)]
+        raise ParseError(f"{path}: missing CAPM row for stock {stock_id}, year {year}")
+    betas, risk_free, market = zip(*rates)
     if len(set(betas)) != 1:
         raise ParseError(f"{path}: stock {stock_id}: beta must be constant across years")
-    return betas[0], tuple(risk_free), tuple(market)
+    return betas[0], risk_free, market
 
 
 # ---------------------------------------------------------------------------

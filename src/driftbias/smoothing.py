@@ -87,12 +87,23 @@ def smooth(observations: Sequence[float], config: SmoothingConfig = SmoothingCon
     y = _finite_series(observations)
     if y.size == 0:
         raise InsufficientDataError("cannot smooth an empty series")
-    alpha = config.alpha
-    forecasts = np.empty(y.size + 1)
-    forecasts[0] = y[0] if config.init_value is None else config.init_value
-    for k in range(y.size):
-        forecasts[k + 1] = alpha * y[k] + (1.0 - alpha) * forecasts[k]
-    return SmoothedSeries(observations=y, forecasts=forecasts, alpha=alpha)
+    first = y[0] if config.init_value is None else config.init_value
+    return SmoothedSeries(observations=y, forecasts=_forecasts(y, config.alpha, first), alpha=config.alpha)
+
+
+def _forecasts(y: np.ndarray, alpha: float | np.ndarray, first: float | np.ndarray) -> np.ndarray:
+    """F_1..F_{t+1} of the recurrence from F_1 = ``first``, for many series at once.
+
+    Time runs along the first axis of ``y``; ``alpha`` and ``first``
+    broadcast against the others, so each series, or each alpha of a
+    grid, gets a column of its own.
+    """
+    keep = 1.0 - alpha
+    forecasts = np.empty((y.shape[0] + 1, *np.broadcast(y[0], alpha, first).shape))
+    forecasts[0] = first
+    for k in range(y.shape[0]):
+        forecasts[k + 1] = alpha * y[k] + keep * forecasts[k]
+    return forecasts
 
 
 def weight_expansion(config: SmoothingConfig, t: int) -> np.ndarray:
@@ -138,24 +149,33 @@ def fit_alpha(
     alphas = np.sort(np.array(grid, dtype=float))
     if alphas.size == 0:
         raise ValueError("alpha grid must be non-empty")
-    # The recurrence is linear in y, so scaling a large y down by a power of
-    # two scales every error exactly and keeps the sums of squares in range.
-    exponent = max(0, math.frexp(float(np.abs(y).max()))[1])
-    y = np.ldexp(y, -exponent)
-    # smooth()'s recurrence for every candidate at once, one row each.
-    keep = 1.0 - alphas
-    forecasts = np.empty((alphas.size, y.size))
-    forecasts[:, 0] = y[0]
-    for k in range(1, y.size):
-        forecasts[:, k] = alphas * y[k - 1] + keep * forecasts[:, k - 1]
-    errors = y - forecasts
-    # argmin returns the first minimum: the smallest alpha among ties.
-    sse = np.vecdot(errors, errors)
-    best = int(np.argmin(sse))
+    best, sse, exponent = (values[0] for values in _fit_alphas(y[None], alphas))
     try:
-        return float(alphas[best]), math.ldexp(float(sse[best]), 2 * exponent)
+        return float(alphas[best]), math.ldexp(float(sse), 2 * int(exponent))
     except OverflowError:  # the sum of squares itself is past the float range
         return float(alphas[best]), math.inf
+
+
+def _fit_alphas(y: np.ndarray, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``fit_alpha``'s sweep for each row of the 2-D ``y`` at once.
+
+    Rows must be finite and at least 3 long; ``alphas`` sorted.
+
+    Returns:
+        Each row's index of its winning alpha, its SSE, and the power-of-two
+        exponent e that the SSE is scaled down by (it is SSE / 4**e).
+    """
+    # The recurrence is linear in y, so scaling a large row down by a power
+    # of two scales its errors exactly and keeps its sums of squares in range.
+    exponent = np.maximum(0, np.frexp(np.abs(y).max(axis=1))[1])
+    y = np.ldexp(y, -exponent[:, None])
+    by_time = y.T[:, :, None]
+    forecasts = _forecasts(by_time, alphas, by_time[0])[:-1].transpose(1, 2, 0)
+    # Each row of errors is contiguous, so every vecdot sums a row alike.
+    errors = np.subtract(y[:, None, :], forecasts, order="C")
+    sse = np.vecdot(errors, errors)
+    # argmin returns the first minimum: the smallest alpha among ties.
+    return np.argmin(sse, axis=1), sse.min(axis=1), exponent
 
 
 def _finite_series(observations: Sequence[float]) -> np.ndarray:

@@ -15,9 +15,10 @@ import pathlib
 import tempfile
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from driftbias import pipeline
+from driftbias import _csv, pipeline
 from driftbias.errors import ParseError
 
 ID_CHARS = st.sampled_from("0123456789ABCXYZabz-._ ")
@@ -111,3 +112,45 @@ def test_reader_matches_row_loop(data):
         path = pathlib.Path(directory) / "capm.csv"
         path.write_bytes(data)
         assert outcome(pipeline._read_capm, str(path)) == outcome(pipeline._read_capm_rows, str(path))
+
+
+FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "capm.csv"
+
+
+def column_wise(path):
+    """Whether ``_read_capm`` reads ``path`` column-wise rather than row by row."""
+    table = _csv.read_table(str(path), pipeline.CAPM_HEADER, pipeline._CAPM_DTYPE)
+    return table is not None and pipeline._capm_columns(table) is not None
+
+
+def test_plain_files_are_read_column_wise(tmp_path):
+    assert column_wise(FIXTURE)
+    path = tmp_path / "capm.csv"
+    path.write_text(
+        f"{pipeline.CAPM_HEADER}\nA B,2011,1.5,-0.0,1e308\nA B,0002012,1,0.5,-2\n"
+        "AAAAAAAAAAAAAAA,1234567,0,0,0\nC,0,.5,5.,1E-2\n"
+    )
+    assert column_wise(path)
+    assert outcome(pipeline._read_capm, str(path)) == outcome(pipeline._read_capm_rows, str(path))
+    assert pipeline._read_capm(str(path))[("A B", 2012)] == (1.0, 0.5, -2.0)
+
+
+# Rows numpy's tokenizer would take, cut or read otherwise than the row
+# loop does. Each sits between stocks A and B, so that only the check it
+# names can send the file to the row loop.
+@pytest.mark.parametrize(
+    "row",
+    [
+        "AA,+2011,1,0.03,0.08", "AA,-2011,1,0.03,0.08", "AA, 2011,1,0.03,0.08", "AA,2011 ,1,0.03,0.08",
+        "AA,2_011,1,0.03,0.08", "AA,12345678,1,0.03,0.08", "AA,,1,0.03,0.08", "AA,20.11,1,0.03,0.08",
+        "AAAAAAAAAAAAAAAA,2011,1,0.03,0.08", "AAAAAAAAAAAAAAAAA,2011,1,0.03,0.08", " AA,2011,1,0.03,0.08",
+        "AA ,2011,1,0.03,0.08", "AA,2011,nan,0.03,0.08", "AA,2011,1,inf,0.08", "AA,2011,1,0.03,1e400",
+        "A,2011,1,0.03,0.08", "A,02011,2,0.03,0.08", "AA,2011,1_0,0.03,0.08", "AA,2011,1,0.03,0.08,1",
+        "é,2011,1,0.03,0.08", "AA,2011,\t1,0.03,0.08",
+    ],
+)
+def test_unusual_rows_go_to_the_row_loop(tmp_path, row):
+    path = tmp_path / "capm.csv"
+    path.write_bytes(f"{pipeline.CAPM_HEADER}\nA,2011,1,0.03,0.08\n{row}\nB,2011,1,0.03,0.08\n".encode())
+    assert not column_wise(path)
+    assert outcome(pipeline._read_capm, str(path)) == outcome(pipeline._read_capm_rows, str(path))

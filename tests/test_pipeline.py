@@ -29,20 +29,28 @@ def make_period_path(total, sigma2, n=16, seed=0, t0=0.0):
     return gbm.PricePath(t0=t0, step_h=h, prices=prices)
 
 
+def dataset_from_paths(paths, stock_id="000001", years=None, beta=1.0, risk_free=None, market=None):
+    """A StockDataset holding the prices of ``paths``, one period each, at the first path's step."""
+    n = len(paths)
+    return pipeline.StockDataset(
+        stock_id=stock_id,
+        years=tuple(range(2009, 2009 + n)) if years is None else years,
+        closes=np.concatenate([path.prices for path in paths]),
+        offsets=np.cumsum([0, *(path.prices.size for path in paths)]),
+        step_h=paths[0].step_h,
+        beta=beta,
+        risk_free=(0.0,) * n if risk_free is None else risk_free,
+        market_return_expectation=(0.0,) * n if market is None else market,
+    )
+
+
 def make_dataset(totals, sigma2=0.09, stock_id="000001", rf=0.03, beta=1.0, mkt=0.08):
     n = len(totals)
     paths = tuple(
         make_period_path(total, sigma2, seed=100 + i, t0=float(i))
         for i, total in enumerate(totals)
     )
-    return pipeline.StockDataset(
-        stock_id=stock_id,
-        years=tuple(range(2009, 2009 + n)),
-        period_paths=paths,
-        beta=beta,
-        risk_free=(rf,) * n,
-        market_return_expectation=(mkt,) * n,
-    )
+    return dataset_from_paths(paths, stock_id, beta=beta, risk_free=(rf,) * n, market=(mkt,) * n)
 
 
 def make_record(index=0, nu_hat=0.0, nu_tilde=0.0, invested=False, **kwargs):
@@ -86,23 +94,29 @@ def test_record_gating_consistency():
 def test_dataset_validation():
     path = make_period_path(0.1, 0.04)
     with pytest.raises(ValueError, match="consecutive"):
-        pipeline.StockDataset(
-            stock_id="x",
-            years=(2009, 2011),
-            period_paths=(path, path),
-            beta=1.0,
-            risk_free=(0.0, 0.0),
-            market_return_expectation=(0.0, 0.0),
-        )
+        dataset_from_paths((path, path), "x", years=(2009, 2011), risk_free=(0.0, 0.0), market=(0.0, 0.0))
     with pytest.raises(ValueError, match="mismatched"):
-        pipeline.StockDataset(
-            stock_id="x",
-            years=(2009, 2010),
-            period_paths=(path, path),
-            beta=1.0,
-            risk_free=(0.0,),
-            market_return_expectation=(0.0, 0.0),
-        )
+        dataset_from_paths((path, path), "x", years=(2009, 2010), risk_free=(0.0,), market=(0.0, 0.0))
+
+
+def test_dataset_checks_closes_and_offsets():
+    data = dict(stock_id="x", years=(2009, 2010), step_h=0.5, beta=1.0, risk_free=(0.0, 0.0),
+                market_return_expectation=(0.0, 0.0))
+    dataset = pipeline.StockDataset(closes=[1.0, 2.0, 3.0, 4.0, 5.0], offsets=[0, 2, 5], **data)
+    assert [path.prices.tolist() for path in dataset.period_paths] == [[1.0, 2.0], [3.0, 4.0, 5.0]]
+    assert [path.t0 for path in dataset.period_paths] == [0.0, 1.0]
+    with pytest.raises(ValueError):
+        dataset.closes[0] = 2.0
+    with pytest.raises(ValueError, match="mismatched"):
+        pipeline.StockDataset(closes=[1.0, 2.0, 3.0, 4.0], offsets=[0, 2], **data)
+    for offsets in ([0, 1, 4], [0, 2, 3], [1, 2, 4], [0, 3, 2]):
+        with pytest.raises(ValueError, match="offsets"):
+            pipeline.StockDataset(closes=[1.0, 2.0, 3.0, 4.0], offsets=offsets, **data)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            pipeline.StockDataset(closes=[1.0, 2.0, 3.0, bad], offsets=[0, 2, 4], **data)
+    with pytest.raises(ValueError, match="step_h"):
+        pipeline.StockDataset(closes=[1.0, 2.0, 3.0, 4.0], offsets=[0, 2, 4], **{**data, "step_h": 0.0})
 
 
 def test_capm_benchmark():
@@ -184,14 +198,7 @@ def test_invested_fraction_matches_normal_quantile():
             gbm.simulate_gbm(params, 100.0, 1.0, 16, gbm.substream(777, 6 * seed + i))
             for i in range(6)
         )
-        data = pipeline.StockDataset(
-            stock_id="mc",
-            years=tuple(range(2009, 2015)),
-            period_paths=paths,
-            beta=1.0,
-            risk_free=(0.0,) * 6,
-            market_return_expectation=(0.0,) * 6,
-        )
+        data = dataset_from_paths(paths, "mc")
         records = pipeline.build_period_records(data, config)
         opened += sum(r.invested for r in records[1:])
         total += len(records) - 1
@@ -328,7 +335,8 @@ def test_split_holdout():
     data = make_dataset([0.5, 0.4, 0.3])
     sample, holdout = pipeline.split_holdout(data)
     assert sample.years == (2009, 2010)
-    assert holdout is data.period_paths[-1]
+    last = data.period_paths[-1]
+    assert (holdout.t0, holdout.step_h, holdout.prices.tolist()) == (last.t0, last.step_h, last.prices.tolist())
     with pytest.raises(InsufficientDataError):
         pipeline.split_holdout(make_dataset([0.5]))
 
@@ -352,6 +360,8 @@ def test_score_portfolio_orders_and_sums():
     assert totals[0] == pytest.approx(sum(r.sd_raw for r in reports), rel=1e-15)
     assert totals[1] == pytest.approx(sum(r.sd_simple for r in reports), rel=1e-15)
     assert totals[2] == pytest.approx(sum(r.sd_es for r in reports), rel=1e-15)
+    # Exactly rounded sums, whatever the interpreter's sum() does.
+    assert totals == tuple(math.fsum(getattr(r, name) for r in reports) for name in ("sd_raw", "sd_simple", "sd_es"))
 
 
 def test_report_csv_layout():
@@ -547,14 +557,7 @@ def test_period_estimates_match_per_path_reference(sizes, h_per_year, seed):
         )
         for k, size in enumerate(sizes)
     )
-    data = pipeline.StockDataset(
-        stock_id="S1",
-        years=tuple(range(2009, 2009 + len(sizes))),
-        period_paths=paths,
-        beta=1.0,
-        risk_free=(0.03,) * len(sizes),
-        market_return_expectation=(0.08,) * len(sizes),
-    )
+    data = dataset_from_paths(paths, "S1", risk_free=(0.03,) * len(sizes), market=(0.08,) * len(sizes))
     sample, holdout = pipeline.split_holdout(data)
     records = pipeline.build_period_records(sample)
     for record, path in zip(records, sample.period_paths):

@@ -35,9 +35,9 @@ def make_stock(stock_id, periods, step_h, beta, risk_free, market):
     return pipeline.StockDataset(
         stock_id=stock_id,
         years=tuple(range(2001, 2001 + len(periods))),
-        period_paths=tuple(
-            gbm.PricePath(t0=float(k), step_h=step_h, prices=closes) for k, closes in enumerate(periods)
-        ),
+        closes=np.concatenate(periods),
+        offsets=np.cumsum([0, *map(len, periods)]),
+        step_h=step_h,
         beta=beta,
         risk_free=tuple(risk_free),
         market_return_expectation=tuple(market),
@@ -180,8 +180,7 @@ def test_score_portfolio_matches_per_stock_reference(case):
     def batched():
         reports, totals = pipeline.score_portfolio(datasets, config)
         for k, column in enumerate(("sd_raw", "sd_simple", "sd_es")):
-            values = [getattr(report, column) for report in reports]
-            assert math.isclose(totals[k], math.fsum(values), rel_tol=1e-12, abs_tol=0.0)
+            assert totals[k] == math.fsum(getattr(report, column) for report in reports)
         return [report_bits(report) for report in reports]
 
     assert outcome(batched) == outcome(reference)
