@@ -32,7 +32,9 @@ from ._csv import finite, invalid, read_rows, read_table
 from .conditional import Direction, _closed_form
 from .errors import InsufficientDataError, ParseError
 from .gbm import PricePath, _estimate_segments, _require_two_returns
-from .smoothing import DEFAULT_ALPHA, DEFAULT_FIT_GRID, SmoothingConfig, _finite_series, _fit_alphas, _forecasts, smooth
+from .smoothing import (
+    DEFAULT_ALPHA, DEFAULT_FIT_GRID, SmoothingConfig, _finite_series, _fit_alphas, _forecasts, smooth
+)
 
 __all__ = [
     "PipelineConfig",
@@ -115,7 +117,8 @@ class StockDataset:
         count = len(self.years)
         if count == 0:
             raise ValueError(f"stock {self.stock_id}: no periods")
-        if not (offsets.shape == (count + 1,) and len(self.risk_free) == len(self.market_return_expectation) == count):
+        rates = (len(self.risk_free), len(self.market_return_expectation))
+        if not (offsets.shape == (count + 1,) and rates == (count, count)):
             raise ValueError(f"stock {self.stock_id}: per-period fields have mismatched lengths")
         for previous, current in zip(self.years, self.years[1:]):
             if current != previous + 1:
@@ -261,10 +264,7 @@ def _gates(
 
 
 def _thread_gates(
-    realized_return: np.ndarray,
-    benchmark: np.ndarray,
-    nu_hat: np.ndarray,
-    sigma2_hat: np.ndarray,
+    realized_return: np.ndarray, benchmark: np.ndarray, nu_hat: np.ndarray, sigma2_hat: np.ndarray,
     counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each period's (invested, nu_tilde, degenerate), decided by the
@@ -282,12 +282,8 @@ def _thread_gates(
 
 
 def _reports(
-    stock_ids: Sequence[str],
-    bias: np.ndarray,
-    counts: np.ndarray,
-    raw_next: np.ndarray,
-    holdout_nu_hat: np.ndarray,
-    config: PipelineConfig,
+    stock_ids: Sequence[str], bias: np.ndarray, counts: np.ndarray, raw_next: np.ndarray,
+    holdout_nu_hat: np.ndarray, config: PipelineConfig,
 ) -> list[ForecastReport]:
     """Score each stock's next raw forecast against its holdout estimate.
 
@@ -316,18 +312,8 @@ def _reports(
         if not ok:
             _finite_series(bias[first:end])
         simple, es = raw - last_bias, raw - forecast
-        reports.append(
-            ForecastReport(
-                stock_id=stock_id,
-                holdout_nu_hat=holdout,
-                raw_conditional=raw,
-                simple_adjusted=simple,
-                es_adjusted=es,
-                sd_raw=(raw - holdout) ** 2,
-                sd_simple=(simple - holdout) ** 2,
-                sd_es=(es - holdout) ** 2,
-            )
-        )
+        deviations = ((raw - holdout) ** 2, (simple - holdout) ** 2, (es - holdout) ** 2)
+        reports.append(ForecastReport(stock_id, holdout, raw, simple, es, *deviations))
     return reports
 
 
@@ -387,7 +373,8 @@ def build_period_records(
     nu_hat, sigma2_hat, realized = estimates
     gates = _thread_gates(realized, columns.benchmark, nu_hat, sigma2_hat, np.array([data.n_periods]))[:3]
     values = (nu_hat, sigma2_hat, realized, columns.benchmark, *gates)
-    return [PeriodRecord(index, *row) for index, row in enumerate(zip(*(column.tolist() for column in values)))]
+    rows = zip(*(column.tolist() for column in values))
+    return [PeriodRecord(index, *row) for index, row in enumerate(rows)]
 
 
 def simple_adjust(records: Sequence[PeriodRecord]) -> list[float]:
@@ -429,9 +416,8 @@ def next_raw_forecast(records: Sequence[PeriodRecord]) -> tuple[float, bool]:
     forecast yields (0.0, flag) per the not-invested convention.
     """
     last = records[-1]
-    _, nu_tilde, degenerate = _gates(
-        *(np.array([value]) for value in (last.realized_return, last.benchmark_c, last.nu_hat, last.sigma2_hat))
-    )
+    values = (last.realized_return, last.benchmark_c, last.nu_hat, last.sigma2_hat)
+    _, nu_tilde, degenerate = _gates(*(np.array([value]) for value in values))
     return float(nu_tilde[0]), bool(degenerate[0])
 
 
@@ -742,9 +728,10 @@ def _read_price_rows(path: str) -> _Prices:
 
 # A CAPM row as numpy's tokenizer stores it: the id and year cells as
 # NUL-padded bytes, then the three rates.
-_CAPM_DTYPE = np.dtype(
-    [("stock_id", "S16"), ("year", "S8"), ("beta", "f8"), ("risk_free", "f8"), ("market_return_expectation", "f8")]
-)
+_CAPM_DTYPE = np.dtype([
+    ("stock_id", "S16"), ("year", "S8"),
+    ("beta", "f8"), ("risk_free", "f8"), ("market_return_expectation", "f8"),
+])
 
 
 def _read_capm(path: str) -> dict[tuple[str, int], tuple[float, float, float]]:

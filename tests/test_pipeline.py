@@ -336,7 +336,8 @@ def test_split_holdout():
     sample, holdout = pipeline.split_holdout(data)
     assert sample.years == (2009, 2010)
     last = data.period_paths[-1]
-    assert (holdout.t0, holdout.step_h, holdout.prices.tolist()) == (last.t0, last.step_h, last.prices.tolist())
+    assert (holdout.t0, holdout.step_h) == (last.t0, last.step_h)
+    assert holdout.prices.tolist() == last.prices.tolist()
     with pytest.raises(InsufficientDataError):
         pipeline.split_holdout(make_dataset([0.5]))
 
@@ -361,7 +362,8 @@ def test_score_portfolio_orders_and_sums():
     assert totals[1] == pytest.approx(sum(r.sd_simple for r in reports), rel=1e-15)
     assert totals[2] == pytest.approx(sum(r.sd_es for r in reports), rel=1e-15)
     # Exactly rounded sums, whatever the interpreter's sum() does.
-    assert totals == tuple(math.fsum(getattr(r, name) for r in reports) for name in ("sd_raw", "sd_simple", "sd_es"))
+    names = ("sd_raw", "sd_simple", "sd_es")
+    assert totals == tuple(math.fsum(getattr(r, name) for r in reports) for name in names)
 
 
 def test_report_csv_layout():

@@ -197,10 +197,8 @@ def test_one_stock_calls_match_per_stock_reference(case):
 
         def records():
             rows = pipeline.build_period_records(sample, config)
-            return [
-                bits((r.nu_hat, r.sigma2_hat, r.realized_return, r.benchmark_c, r.invested, r.nu_tilde, r.degenerate))
-                for r in rows
-            ]
+            fields = ("nu_hat", "sigma2_hat", "realized_return", "benchmark_c", "invested", "nu_tilde", "degenerate")
+            return [bits(getattr(r, name) for name in fields) for r in rows]
 
         def reference_rows():
             return [bits(row) for row in reference_records(sample, config)[0]]
