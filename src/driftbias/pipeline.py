@@ -245,14 +245,14 @@ def _gates(
     The gate opens when R beat C, and then the conditional formula is
     evaluated at the period's own estimates (T = 1 year, direction ABOVE).
     An open gate is degenerate, and the next period not invested, where
-    ``ConditionalQuery`` would refuse the query (nu or C not finite, sigma
-    not finite and > 0) or ``_closed_form`` marks it (d past the guard or
-    not finite).
+    ``ConditionalQuery`` would refuse the query or ``_closed_form`` marks
+    it: sigma not finite and > 0, d not finite (as a nu or C that is not
+    finite makes it), or d past the guard.
     """
     with np.errstate(invalid="ignore"):  # a negative sigma2_hat gives nan, which is refused
         sigma = np.sqrt(sigma2_hat)
     opened = ~(realized_return <= benchmark)
-    valid = opened & np.isfinite(nu_hat) & np.isfinite(benchmark) & np.isfinite(sigma) & (sigma > 0)
+    valid = opened & np.isfinite(sigma) & (sigma > 0)
     expectation, _, _, degenerate = _closed_form(
         nu_hat[valid], sigma[valid], 1.0, benchmark[valid], Direction.ABOVE
     )

@@ -20,6 +20,7 @@ import math
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from driftbias import conditional, gbm, pipeline
@@ -165,7 +166,7 @@ def report_bits(report):
 def outcome(call):
     try:
         return "ok", call()
-    except (InsufficientDataError, ValueError) as exc:
+    except (InsufficientDataError, ValueError, OverflowError) as exc:
         return type(exc), str(exc)
 
 
@@ -207,3 +208,51 @@ def test_one_stock_calls_match_per_stock_reference(case):
         assert outcome(lambda: report_bits(pipeline.score_and_report(sample, holdout, config))) == outcome(
             lambda: bits(reference_report(data, config))
         )
+
+
+def overflowing_stock(stock_id):
+    """A stock whose bias series is not finite: at a step of 1e-306 years a
+    modest return gives a finite, invested nu_hat, and a huge one gives inf."""
+    closes = [np.array([1.0, 1.5, 2.0])] * 3 + [np.array([1.0, 1e150, 1e300]), np.array([1.0, 1.5, 2.0])]
+    return make_stock(stock_id, closes, 1e-306, 1.0, [0.0] * 5, [0.0] * 5)
+
+
+def infinite_variance_stock(stock_id):
+    """A stock whose second period's sigma2_hat overflows to inf; every nu_hat is 0 and every gate open."""
+    closes = [np.array([1.0, 1.5, 1.0]), np.array([1.0, 1e150, 1.0])] + [np.array([1.0, 1.5, 1.0])] * 3
+    return make_stock(stock_id, closes, 1e-306, 1.0, [-1.0] * 5, [-1.0] * 5)
+
+
+def one_return_stock(stock_id):
+    closes = [np.array([1.0, 1.1, 1.3])] * 3 + [np.array([1.0, 1.2])]
+    return make_stock(stock_id, closes, 1.0 / 12, 1.0, [0.0] * 4, [0.0] * 4)
+
+
+def too_short_stock(stock_id):
+    return make_stock(stock_id, [np.array([1.0, 1.1, 1.3])] * 3, 1.0, 1.0, [0.0] * 3, [0.0] * 3)
+
+
+# Estimates that overflow: a bias series that is not finite fails in
+# scoring, a period with one return before it, so whichever stock comes
+# first in id order must raise; a sigma that is not finite closes its gate
+# as degenerate. The overflow itself warns alike on both sides.
+@pytest.mark.parametrize(
+    "stocks, error",
+    [
+        ([overflowing_stock("A"), one_return_stock("B"), too_short_stock("C")], ValueError),
+        ([one_return_stock("A"), overflowing_stock("B"), too_short_stock("C")], InsufficientDataError),
+        ([infinite_variance_stock("A"), too_short_stock("B")], InsufficientDataError),
+    ],
+    ids=["bias_first", "one_return_first", "infinite_sigma"],
+)
+@pytest.mark.parametrize("fit", [False, True])
+def test_overflowing_estimates_match_reference(stocks, error, fit):
+    config = pipeline.PipelineConfig(fit_alpha=fit)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = outcome(lambda: [bits(reference_report(data, config)) for data in stocks])
+        batched = outcome(lambda: [report_bits(report) for report in pipeline.score_portfolio(stocks, config)[0]])
+        records = pipeline.build_period_records(pipeline.split_holdout(stocks[0])[0], config)
+    assert batched == reference
+    assert reference[0] is error
+    if len(stocks) == 2:
+        assert [(record.invested, record.degenerate) for record in records[1:3]] == [(True, False), (False, True)]

@@ -174,3 +174,13 @@ def test_fit_alpha_matches_per_alpha_reference(y):
     ref_alpha, ref_sse = per_alpha_fit(y, smoothing.DEFAULT_FIT_GRID)
     assert alpha == ref_alpha
     assert sse == pytest.approx(ref_sse, rel=1e-12, abs=0.0)
+
+
+@given(st.lists(st.floats(-0.4, 0.4), min_size=3, max_size=60))
+def test_fit_alpha_sse_sums_each_error_row_contiguously(y):
+    # Below 0.5 in magnitude no scaling applies; the winner's SSE must be
+    # np.vecdot of its contiguous error row bit for bit, as a strided row
+    # sums in another order.
+    alpha, sse = smoothing.fit_alpha(y)
+    errors = np.asarray(y) - smoothing.smooth(y, smoothing.SmoothingConfig(alpha)).forecasts[:-1]
+    assert sse == float(np.vecdot(errors, errors))
