@@ -153,17 +153,17 @@ def _closed_form(
 
     Returns:
         (expectation, event probability, d, degenerate), where degenerate
-        marks d past MILLS_GUARD on the conditioned side, or not finite.
-        Degenerate entries carry no meaningful expectation.
+        marks |d| > MILLS_GUARD on the conditioned side. Degenerate entries
+        carry no meaningful expectation.
     """
     side = 1.0 if direction is Direction.ABOVE else -1.0
-    with np.errstate(over="ignore"):  # an overflowing d is marked degenerate
-        d = (C - nu * T) / (sigma * math.sqrt(T))
+    d = (C - nu * T) / (sigma * math.sqrt(T))
     z = side * d
-    # The guard keeps erfcx off +inf, whose 0.0 would divide by zero.
+    # Past the guard the event is degenerate; a larger z would overflow the
+    # Mills ratio, or at +inf divide by zero.
     inverse_mills = _SQRT_2_OVER_PI / special.erfcx(np.minimum(z, MILLS_GUARD) / _SQRT_2)
     expectation = nu + side * (sigma / math.sqrt(T)) * inverse_mills
-    return expectation, special.ndtr(-z), d, (z > MILLS_GUARD) | ~np.isfinite(d)
+    return expectation, special.ndtr(-z), d, z > MILLS_GUARD
 
 
 def conditional_nu(q: ConditionalQuery) -> ConditionalResult:

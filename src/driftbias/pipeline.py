@@ -253,9 +253,12 @@ def _gates(
         sigma = np.sqrt(sigma2_hat)
     opened = ~(realized_return <= benchmark)
     valid = opened & np.isfinite(sigma) & (sigma > 0)
-    expectation, _, _, degenerate = _closed_form(
-        nu_hat[valid], sigma[valid], 1.0, benchmark[valid], Direction.ABOVE
-    )
+    # Only a d that is not finite overflows or makes nan here, and it is marked.
+    with np.errstate(over="ignore", invalid="ignore"):
+        expectation, _, d, past_guard = _closed_form(
+            nu_hat[valid], sigma[valid], 1.0, benchmark[valid], Direction.ABOVE
+        )
+    degenerate = past_guard | ~np.isfinite(d)
     invested = valid.copy()
     invested[valid] = ~degenerate
     nu_tilde = np.zeros(invested.shape)
@@ -279,6 +282,9 @@ def _thread_gates(
     invested[firsts] = degenerate[firsts] = False
     nu_tilde[firsts] = 0.0
     return invested, nu_tilde, degenerate, gate[1][ends - 1]
+
+
+_FIT_GRID = np.sort(np.array(DEFAULT_FIT_GRID))
 
 
 def _reports(
@@ -315,9 +321,6 @@ def _reports(
         deviations = ((raw - holdout) ** 2, (simple - holdout) ** 2, (es - holdout) ** 2)
         reports.append(ForecastReport(stock_id, holdout, raw, simple, es, *deviations))
     return reports
-
-
-_FIT_GRID = np.sort(np.array(DEFAULT_FIT_GRID))
 
 
 def _score(

@@ -164,11 +164,16 @@ def test_reflection_symmetry(nu, sigma, T, C):
 def test_degenerate_above_raises():
     with pytest.raises(DegenerateConditionError, match="R_T > C"):
         ce.conditional_nu(q(nu=0.0, sigma=0.1, T=1.0, C=10.0))
+    # d = 4.5e161: the Mills ratio past the guard would overflow with a RuntimeWarning.
+    with pytest.raises(DegenerateConditionError, match="R_T > C"):
+        ce.conditional_nu(q(nu=0.0, sigma=1.0, T=5e-324, C=1.0))
 
 
 def test_degenerate_below_raises():
     with pytest.raises(DegenerateConditionError, match="R_T <= C"):
         ce.conditional_nu(q(nu=0.0, sigma=0.1, T=1.0, C=-10.0, direction=BELOW))
+    with pytest.raises(DegenerateConditionError, match="R_T <= C"):
+        ce.conditional_nu(q(nu=0.0, sigma=1.0, T=5e-324, C=-1.0, direction=BELOW))
 
 
 def test_guard_boundary_still_finite():
