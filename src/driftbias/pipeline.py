@@ -605,11 +605,11 @@ def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> list[Sto
                     f"{prices_path}: stock {stock_id} skips from {previous} to {current}; "
                     "periods must be consecutive calendar years"
                 )
-        if min(sizes[first:end]) < 2:
-            size, year = next(pair for pair in zip(sizes[first:end], years) if pair[0] < 2)
-            raise InsufficientDataError(
-                f"stock {stock_id}, year {year}: a period needs >= 2 observations, got {size}"
-            )
+        for size, year in zip(sizes[first:end], years):
+            if size < 2:
+                raise InsufficientDataError(
+                    f"stock {stock_id}, year {year}: a period needs >= 2 observations, got {size}"
+                )
         beta, risk_free, market = _capm_for_stock(capm_path, rates[first:end], stock_id, years)
         start = prices.offsets[first]
         datasets.append(
