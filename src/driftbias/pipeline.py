@@ -372,8 +372,7 @@ def build_period_records(
             f"stock {data.stock_id}: need at least 2 periods, got {data.n_periods}"
         )
     columns = _columns([data], config)
-    estimates = _estimate_segments(columns.closes, columns.sizes, columns.step_h)
-    nu_hat, sigma2_hat, realized = estimates
+    nu_hat, sigma2_hat, realized = _estimate_segments(columns.closes, columns.sizes, columns.step_h)
     gates = _thread_gates(realized, columns.benchmark, nu_hat, sigma2_hat, np.array([data.n_periods]))[:3]
     values = (nu_hat, sigma2_hat, realized, columns.benchmark, *gates)
     rows = zip(*(column.tolist() for column in values))
