@@ -3,8 +3,9 @@
 All tabular results go to standard output as CSV (or to ``--out`` when
 given); progress and diagnostic lines go to standard error. Exit codes:
 0 success, 1 domain error (degenerate condition, insufficient data,
-degenerate variance), 2 usage or input-format error. Every failure prints
-a single ``error: ...`` line to standard error.
+degenerate variance, a result past the float range), 2 usage or
+input-format error. Every failure prints a single ``error: ...`` line to
+standard error.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ from .errors import (
 )
 
 __all__ = ["build_parser", "run", "main"]
-
-_DIRECTIONS = {
-    "above": conditional.Direction.ABOVE,
-    "at_or_below": conditional.Direction.AT_OR_BELOW,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,7 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     smooth = commands.add_parser("smooth", help="exponential smoothing of a value series")
     smooth.add_argument("--input", required=True, help="CSV with a single 'value' column")
     choice = smooth.add_mutually_exclusive_group()
-    choice.add_argument("--alpha", type=float, default=None, help="smoothing factor in [0, 1]")
+    choice.add_argument(
+        "--alpha", type=float, default=smoothing.DEFAULT_ALPHA, help="smoothing factor in [0, 1]"
+    )
     choice.add_argument("--fit", action="store_true", help="fit alpha on the default grid")
     _add_out(smooth)
     smooth.set_defaults(handler=_cmd_smooth)
@@ -115,7 +113,7 @@ def _add_out(subparser: argparse.ArgumentParser) -> None:
 
 
 def _add_direction(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument("--direction", choices=sorted(_DIRECTIONS), required=True)
+    subparser.add_argument("--direction", choices=[d.value for d in conditional.Direction], required=True)
 
 
 def run(argv: Sequence[str]) -> int:
@@ -127,7 +125,7 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         args.handler(args)
-    except (DegenerateConditionError, InsufficientDataError, DegenerateVarianceError) as exc:
+    except (DegenerateConditionError, InsufficientDataError, DegenerateVarianceError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ParseError, ValueError, OSError) as exc:
@@ -176,7 +174,7 @@ def _query_from(args: argparse.Namespace) -> conditional.ConditionalQuery:
         sigma=args.sigma,
         T=args.T,
         C=args.C,
-        direction=_DIRECTIONS[args.direction],
+        direction=conditional.Direction(args.direction),
     )
 
 
@@ -198,24 +196,19 @@ def _cmd_surface(args: argparse.Namespace) -> None:
     mu_grid = np.linspace(args.mu_min, args.mu_max, args.mu_steps)
     c_grid = np.linspace(args.c_min, args.c_max, args.c_steps)
     cells = conditional.bias_surface(
-        mu_grid, c_grid, sigma=args.sigma, T=args.T, direction=_DIRECTIONS[args.direction]
+        mu_grid, c_grid, sigma=args.sigma, T=args.T, direction=conditional.Direction(args.direction)
     )
     _emit(conditional.surface_csv(cells), args.out)
 
 
 def _cmd_limits(args: argparse.Namespace) -> None:
-    value = conditional.asymptotic_limit(args.nu, _DIRECTIONS[args.direction])
+    value = conditional.asymptotic_limit(args.nu, conditional.Direction(args.direction))
     _emit(f"nu,direction,limit\n{args.nu!r},{args.direction},{value!r}\n", args.out)
 
 
 def _cmd_smooth(args: argparse.Namespace) -> None:
     values = _read_value_column(args.input)
-    if args.fit:
-        alpha, _ = smoothing.fit_alpha(values)
-    elif args.alpha is not None:
-        alpha = args.alpha
-    else:
-        alpha = smoothing.DEFAULT_ALPHA
+    alpha = smoothing.fit_alpha(values)[0] if args.fit else args.alpha
     series = smoothing.smooth(values, smoothing.SmoothingConfig(alpha=alpha))
     forecasts = series.forecasts.tolist()
     lines = ["value,forecast"]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "substream",
     "log_returns",
     "estimate_unconditional",
-    "estimate_paths",
     "write_price_csv",
     "read_price_csv",
 ]
@@ -223,29 +221,17 @@ def estimate_unconditional(series: ReturnSeries) -> EstimateResult:
     )
 
 
-def estimate_paths(paths: Sequence[PricePath]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``estimate_unconditional(log_returns(path))`` for every path in one pass.
-
-    Returns:
-        Arrays of nu_hat, sigma2_hat and the total log return R, one
-        element per path, equal to the one-path results.
-
-    Raises:
-        InsufficientDataError: a path with fewer than two returns.
-    """
-    sizes = np.array([path.prices.size for path in paths])
-    closes = np.concatenate([path.prices for path in paths])
-    return _estimate_segments(closes, sizes, np.array([path.step_h for path in paths]))
-
-
 def _estimate_segments(
     closes: np.ndarray, sizes: np.ndarray, step_h: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """nu_hat, sigma2_hat and R of consecutive price segments of ``closes``.
 
     Segment k holds ``sizes[k]`` prices and steps ``step_h`` (or
-    ``step_h[k]``). One buffer holds the log prices, then the returns,
-    then their deviations and squares.
+    ``step_h[k]``). The log prices become the returns, then their
+    deviations and squares, in one buffer; the overlapping difference
+    and the repeated means each take a temporary as large, so the peak
+    is about twice the buffer. Each result equals the one-path
+    ``estimate_unconditional(log_returns(path))``.
 
     Raises:
         InsufficientDataError: a segment with fewer than two returns.

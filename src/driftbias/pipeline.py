@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import datetime
 import math
+import re
 from dataclasses import dataclass, replace
 from itertools import chain, groupby
 from typing import NamedTuple, Sequence
@@ -31,7 +32,7 @@ import numpy as np
 from ._csv import finite, invalid, read_rows, read_table
 from .conditional import Direction, _closed_form
 from .errors import InsufficientDataError, ParseError
-from .gbm import PricePath, _estimate_segments, _require_two_returns
+from .gbm import PricePath, _estimate_segments, estimate_unconditional, log_returns
 from .smoothing import (
     DEFAULT_ALPHA, DEFAULT_FIT_GRID, SmoothingConfig, _finite_series, _fit_alphas, _forecasts, smooth
 )
@@ -79,12 +80,18 @@ class PipelineConfig:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.h_per_year < 1:
             raise ValueError(f"h_per_year must be positive, got {self.h_per_year}")
+        try:
+            float(self.h_per_year)
+        except OverflowError as exc:
+            raise ValueError(f"h_per_year does not convert to a float: {exc}") from None
         if self.benchmark_mode not in _BENCHMARK_MODES:
             raise ValueError(
                 f"benchmark_mode must be one of {_BENCHMARK_MODES}, got {self.benchmark_mode!r}"
             )
         if self.benchmark_mode == "constant" and self.constant_c is None:
             raise ValueError("benchmark_mode 'constant' requires constant_c")
+        if self.benchmark_mode != "constant" and self.constant_c is not None:
+            raise ValueError(f"constant_c requires benchmark_mode 'constant', got {self.benchmark_mode!r}")
         if self.constant_c is not None and not math.isfinite(self.constant_c):
             raise ValueError(f"constant_c must be finite, got {self.constant_c}")
 
@@ -327,7 +334,7 @@ def _score(
     stock_ids: Sequence[str], columns: _Columns, counts: np.ndarray, config: PipelineConfig
 ) -> list[ForecastReport]:
     """The reports of stocks of ``counts[s]`` periods each, the last one the
-    holdout; every stock must pass ``_require_scorable``."""
+    holdout; ``score_and_report`` must accept every stock."""
     nu_hat, sigma2_hat, realized = _estimate_segments(columns.closes, columns.sizes, columns.step_h)
     holdout = np.cumsum(counts) - 1
     sample = np.ones(nu_hat.size, dtype=bool)
@@ -338,16 +345,6 @@ def _score(
     )
     bias = np.where(invested, nu_tilde - nu_hat_sample, 0.0)
     return _reports(stock_ids, bias, counts - 1, raw_next, nu_hat[holdout], config)
-
-
-def _require_scorable(stock_id: str, count: int, shortest: int) -> None:
-    """``score_and_report``'s checks on a stock of ``count`` sample periods
-    whose shortest period, the holdout included, has ``shortest`` returns."""
-    if count < 2:
-        raise InsufficientDataError(f"stock {stock_id}: need at least 2 periods, got {count}")
-    _require_two_returns(shortest)
-    if count < 3:
-        raise InsufficientDataError(f"scoring needs >= 3 records, got {count}")
 
 
 def build_period_records(
@@ -446,16 +443,10 @@ def score_and_report(
     data: StockDataset, holdout: PricePath, config: PipelineConfig = PipelineConfig()
 ) -> ForecastReport:
     """Build records from the sample periods and score the holdout period."""
-    shortest = min(int(np.diff(data.offsets).min()), holdout.prices.size) - 1
-    _require_scorable(data.stock_id, data.n_periods, shortest)
-    columns = _columns([data], config)
-    columns = _Columns(
-        np.concatenate((columns.closes, holdout.prices)),
-        np.append(columns.sizes, holdout.prices.size),
-        np.append(columns.step_h, holdout.step_h),
-        np.append(columns.benchmark, math.nan),  # the holdout's gate is never read
-    )
-    return _score([data.stock_id], columns, np.array([data.n_periods + 1]), config)[0]
+    records = build_period_records(data, config)
+    raw_next, _ = next_raw_forecast(records)
+    holdout_nu_hat = estimate_unconditional(log_returns(holdout)).nu_hat
+    return score_records(data.stock_id, records, raw_next, holdout_nu_hat, config)
 
 
 def split_holdout(data: StockDataset) -> tuple[StockDataset, PricePath]:
@@ -496,6 +487,7 @@ def score_portfolio(
         counts = np.array([data.n_periods for data in stocks])
         firsts = np.cumsum(counts) - counts
         shortest = np.minimum.reduceat(columns.sizes, firsts) - 1
+        # Exactly the stocks that score_and_report refuses are not scorable.
         scorable = (counts >= 4) & (shortest >= 2)
         valid = len(stocks) if scorable.all() else int(np.argmin(scorable))
         if valid:
@@ -504,8 +496,7 @@ def score_portfolio(
             prefix = _Columns(columns.closes[:cut], *(column[:periods] for column in columns[1:]))
             reports = _score([data.stock_id for data in stocks[:valid]], prefix, counts[:valid], config)
         if valid < len(stocks):
-            split_holdout(stocks[valid])
-            _require_scorable(stocks[valid].stock_id, int(counts[valid]) - 1, int(shortest[valid]))
+            score_and_report(*split_holdout(stocks[valid]), config)
     # fsum is exact, so the totals do not depend on the interpreter's own float sum.
     totals = (
         math.fsum(report.sd_raw for report in reports),
@@ -647,6 +638,9 @@ _PRICE_DTYPE = np.dtype([("stock_id", "S16"), ("date", "S16"), ("close", "f8")])
 # ten characters "dddd-dd-dd", then NUL padding.
 _DATE_LOW = np.frombuffer(b"0000-00-00" + bytes(6), np.uint8)
 _DATE_SPAN = np.frombuffer(bytes([9, 9, 9, 9, 0, 9, 9, 0, 9, 9]) + bytes(6), np.uint8)
+# The same shape for the row loop: from Python 3.11 on date.fromisoformat
+# also takes "20110103", "2011-W01-1" and more.
+_DATE_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def _read_prices(path: str) -> _Prices:
@@ -707,8 +701,11 @@ def _read_price_rows(path: str) -> _Prices:
         stock_id = cells[0].strip()
         if not stock_id:
             raise ParseError(f"{path}: line {lineno}, column 1: empty stock_id")
+        date_text = cells[1].strip()
         try:
-            date = datetime.date.fromisoformat(cells[1].strip())
+            if not _DATE_SHAPE.fullmatch(date_text):
+                raise ValueError
+            date = datetime.date.fromisoformat(date_text)
         except ValueError:
             raise invalid(path, lineno, cells, 1, "ISO date") from None
         close = finite(path, lineno, cells, 2, "price")

@@ -162,6 +162,16 @@ def test_smooth_fit_flag(capsys, tmp_path):
     assert "alpha=0.95" in err
 
 
+def test_smooth_defaults_to_the_default_alpha(capsys, tmp_path):
+    values = [10.0, 12.0, 8.0, 11.0, 9.0]
+    code, out, err = run_cli(capsys, "smooth", "--input", write_values(tmp_path, values))
+    assert code == 0
+    assert err == "alpha=0.2\n"
+    forecasts = smooth(values, SmoothingConfig()).forecasts.tolist()
+    rows = [f"{value!r},{forecast!r}" for value, forecast in zip(values, forecasts)]
+    assert out.splitlines() == ["value,forecast", *rows, f",{forecasts[-1]!r}"]
+
+
 def test_smooth_alpha_and_fit_conflict(capsys, tmp_path):
     path = write_values(tmp_path, [1.0, 2.0, 3.0])
     code, _, _ = run_cli(capsys, "smooth", "--input", path, "--alpha", "0.5", "--fit")
@@ -267,19 +277,43 @@ def test_pipeline_rejects_non_finite_close(capsys, tmp_path):
         assert err == f"error: {prices}: line 100: price must be finite, got {bad}\n"
 
 
-def test_pipeline_rejects_non_finite_constant_c(capsys, tmp_path):
+def run_fixture_pipeline(capsys, tmp_path, settings):
+    """Run ``pipeline`` on the fixture prices and CAPM rates with a config of ``settings``."""
     config = tmp_path / "pipeline.cfg"
-    config.write_text("benchmark_mode = constant\nconstant_c = nan\n")
-    code, out, err = run_cli(
+    config.write_text(settings)
+    return run_cli(
         capsys,
         "pipeline",
         "--prices", str(FIXTURES / "prices.csv"),
         "--capm", str(FIXTURES / "capm.csv"),
         "--config", str(config),
     )
+
+
+def test_pipeline_rejects_non_finite_constant_c(capsys, tmp_path):
+    code, out, err = run_fixture_pipeline(capsys, tmp_path, "benchmark_mode = constant\nconstant_c = nan\n")
     assert code == 2
     assert out == ""
     assert err == "error: config: constant_c must be finite, got nan\n"
+
+
+def test_pipeline_rejects_constant_c_outside_constant_mode(capsys, tmp_path):
+    code, out, err = run_fixture_pipeline(capsys, tmp_path, "constant_c = 0.05\n")
+    assert code == 2
+    assert out == ""
+    assert err == "error: config: constant_c requires benchmark_mode 'constant', got 'per_period'\n"
+
+
+@pytest.mark.parametrize(
+    "zeros, expected_code, text",
+    [(400, 2, "config: h_per_year does not convert to a float"), (300, 1, "Numerical result out of range")],
+    ids=["past_float_range", "overflowing_deviations"],
+)
+def test_pipeline_reports_huge_h_per_year_in_one_line(capsys, tmp_path, zeros, expected_code, text):
+    code, out, err = run_fixture_pipeline(capsys, tmp_path, f"h_per_year = 1{'0' * zeros}\n")
+    assert code == expected_code
+    assert out == ""
+    assert err.startswith("error: ") and text in err and err.count("\n") == 1
 
 
 def test_conditional_rejects_non_finite_arguments(capsys):

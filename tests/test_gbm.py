@@ -140,13 +140,14 @@ def test_estimate_needs_two_returns():
     steps=st.lists(st.sampled_from([1.0 / 252, 1.0 / 12, 0.5]), min_size=12, max_size=12),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_estimate_paths_matches_one_path_estimates(sizes, steps, seed):
+def test_estimate_segments_matches_one_path_estimates(sizes, steps, seed):
     rng = np.random.default_rng(seed)
     paths = [
         gbm.PricePath(t0=0.0, step_h=step, prices=np.exp(rng.normal(0.0, 0.05, size).cumsum()))
         for size, step in zip(sizes, steps)
     ]
-    nu_hat, sigma2_hat, totals = gbm.estimate_paths(paths)
+    closes = np.concatenate([path.prices for path in paths])
+    nu_hat, sigma2_hat, totals = gbm._estimate_segments(closes, np.array(sizes), np.array(steps[: len(sizes)]))
     for k, path in enumerate(paths):
         series = gbm.log_returns(path)
         single = gbm.estimate_unconditional(series)
@@ -156,10 +157,9 @@ def test_estimate_paths_matches_one_path_estimates(sizes, steps, seed):
         assert totals[k] == series.total
 
 
-def test_estimate_paths_needs_two_returns_per_path():
-    paths = [gbm.PricePath(0.0, 1.0, (1.0, 2.0, 3.0)), gbm.PricePath(0.0, 1.0, (1.0, 2.0))]
+def test_estimate_segments_needs_two_returns_per_segment():
     with pytest.raises(InsufficientDataError, match="needs n >= 2 returns, got 1"):
-        gbm.estimate_paths(paths)
+        gbm._estimate_segments(np.array([1.0, 2.0, 3.0, 1.0, 2.0]), np.array([3, 2]), 1.0)
 
 
 @given(

@@ -79,6 +79,10 @@ def test_config_validation():
         pipeline.PipelineConfig(benchmark_mode="weekly")
     with pytest.raises(ValueError):
         pipeline.PipelineConfig(benchmark_mode="constant")
+    with pytest.raises(ValueError, match="constant_c requires benchmark_mode 'constant', got 'per_period'"):
+        pipeline.PipelineConfig(constant_c=0.05)
+    with pytest.raises(ValueError, match="h_per_year does not convert to a float"):
+        pipeline.PipelineConfig(h_per_year=10**400)
     pipeline.PipelineConfig(benchmark_mode="constant", constant_c=0.05)
 
 

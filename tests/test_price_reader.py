@@ -175,3 +175,13 @@ def test_unusual_headers_go_to_the_row_loop(tmp_path, first_lines):
     path.write_bytes(f"{first_lines}A,2011-01-01,1.0\nA,2011-01-02,1.5\n".encode())
     assert not column_wise(path)
     assert outcome(pipeline._read_prices, str(path)) == outcome(pipeline._read_price_rows, str(path))
+
+
+@pytest.mark.parametrize("date", ["20110103", "2011-W01-1"])
+def test_row_loop_takes_only_dashed_dates(tmp_path, date):
+    # From Python 3.11 on date.fromisoformat takes both shapes; 3.10 takes neither.
+    path = tmp_path / "prices.csv"
+    path.write_text(f"stock_id,date,close\nA,2011-01-01,1.0\nA, {date} ,1.5\n")
+    with pytest.raises(ParseError) as error:
+        pipeline._read_prices(str(path))
+    assert str(error.value) == f"{path}: line 3, column 2: invalid ISO date '{date}'"
