@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -43,6 +43,7 @@ __all__ = [
     "conditional_nu_quadrature",
     "MonteCarloEstimate",
     "SurfaceCell",
+    "Surface",
     "bias_surface",
     "surface_csv",
 ]
@@ -112,6 +113,36 @@ class SurfaceCell(NamedTuple):
     expectation: float
     bias: float
     flag: str
+
+
+_FLAGS = ("ok", "degenerate")
+
+
+@dataclass(frozen=True, eq=False)
+class Surface(Sequence[SurfaceCell]):
+    """A bias surface as arrays: ``expectation``, ``bias`` and ``degenerate``
+    have shape ``(len(mu), len(C))``, with nan where a cell is degenerate.
+    As a sequence it reads as SurfaceCell values in row-major order (mu
+    outer, C inner), each built on demand."""
+
+    mu: np.ndarray
+    C: np.ndarray
+    expectation: np.ndarray
+    bias: np.ndarray
+    degenerate: np.ndarray
+
+    def __len__(self) -> int:
+        return self.expectation.size
+
+    def __getitem__(self, index: int | slice) -> SurfaceCell | list[SurfaceCell]:
+        i = range(len(self))[index]  # a list's negative indices, slices and IndexError
+        if isinstance(i, range):
+            return [self[j] for j in i]
+        row, column = divmod(i, self.C.size)
+        return SurfaceCell(
+            self.mu.item(row), self.C.item(column), self.expectation.item(i), self.bias.item(i),
+            _FLAGS[self.degenerate.item(i)],
+        )
 
 
 def _check_scale(sigma: float, T: float, direction: Direction, excess: Sequence[float]) -> None:
@@ -314,52 +345,52 @@ def bias_surface(
     sigma: float,
     T: float,
     direction: Direction,
-) -> list[SurfaceCell]:
+) -> Surface:
     """Evaluate conditional_mu over the cartesian grid mu x C.
 
     Each mu is converted to nu = mu - sigma**2/2 before evaluation. Cells
     whose conditioning event is degenerate are flagged instead of raising,
-    so a surface with unreachable corners still renders.
+    so a surface with unreachable corners still renders. The whole grid is
+    one closed-form call; each ok cell equals conditional_mu bit for bit.
 
     Returns:
-        Cells in row-major order (mu outer, C inner) with flag "ok" or
-        "degenerate"; degenerate cells carry nan expectation and bias.
+        A Surface; its degenerate cells carry nan expectation and bias.
     """
-    mu_values = [float(m) for m in mu_grid]
-    c_values = [float(c) for c in C_grid]
-    if not mu_values or not c_values:
+    mu, c = np.array(mu_grid, dtype=float), np.array(C_grid, dtype=float)
+    if mu.ndim != 1 or c.ndim != 1:
+        raise ValueError("mu_grid and C_grid must be one-dimensional")
+    if not mu.size or not c.size:
         raise ValueError("mu_grid and C_grid must be non-empty")
-    if not (np.isfinite(mu_values).all() and np.isfinite(c_values).all()):
+    if not (np.isfinite(mu).all() and np.isfinite(c).all()):
         raise ValueError("mu_grid and C_grid must be finite")
     half_variance = 0.5 * sigma * sigma
     # C - nu*T rises with C and falls with nu, so two corners bound every cell's d.
     corners = (
-        max(c_values) - (min(mu_values) - half_variance) * T,
-        min(c_values) - (max(mu_values) - half_variance) * T,
+        float(c.max()) - (float(mu.min()) - half_variance) * T,
+        float(c.min()) - (float(mu.max()) - half_variance) * T,
     )
     _check_scale(sigma, T, direction, corners)
-    c_array = np.array(c_values)
-    flags = ("ok", "degenerate")
-    cells = []
-    # One closed-form call per row: a whole-grid call holds several
-    # grid-sized temporaries at once, and cells share the row's mu, the
-    # C values and the flag strings instead of owning copies.
-    for mu in mu_values:
-        nu = mu - half_variance
-        expectation, _, _, degenerate = _closed_form(nu, sigma, T, c_array, direction)
-        bias = expectation - nu
-        expectation += half_variance
-        expectation[degenerate] = bias[degenerate] = math.nan
-        flagged = map(flags.__getitem__, degenerate.tolist())
-        cells.extend(map(SurfaceCell, repeat(mu), c_values, expectation.tolist(), bias.tolist(), flagged))
-    return cells
+    nu = (mu - half_variance)[:, None]
+    expectation, _, _, degenerate = _closed_form(nu, sigma, T, c, direction)
+    bias = expectation - nu
+    expectation += half_variance
+    expectation[degenerate] = bias[degenerate] = math.nan
+    return Surface(mu, c, expectation, bias, degenerate)
 
 
-def surface_csv(cells: Sequence[SurfaceCell]) -> str:
-    """Render surface cells as CSV with 10-significant-digit values."""
+def surface_csv(surface: Surface) -> str:
+    """Render a surface as CSV with 10-significant-digit values.
+
+    Each grid value is formatted once; per cell only the expectation and
+    the bias are.
+    """
+    c_text = [f"{c:.10g}" for c in surface.C.tolist()]
     lines = ["mu,C,expectation,bias,flag"]
-    for cell in cells:
-        lines.append(
-            f"{cell.mu:.10g},{cell.C:.10g},{cell.expectation:.10g},{cell.bias:.10g},{cell.flag}"
+    by_row = (surface.mu, surface.expectation, surface.bias, surface.degenerate)
+    for mu, expectations, biases, flags in zip(*(values.tolist() for values in by_row)):
+        row = f"{mu:.10g},"
+        lines.extend(
+            f"{row}{c},{e:.10g},{b:.10g},{_FLAGS[flag]}"
+            for c, e, b, flag in zip(c_text, expectations, biases, flags)
         )
     return "\n".join(lines) + "\n"

@@ -306,7 +306,8 @@ def _reports(
     Python floats, as ``v ** 2`` may differ from numpy's ``v * v``.
 
     Raises:
-        ValueError: a stock's bias series is not finite, as from fit_alpha or smooth.
+        ValueError: a stock's bias series is not finite, as from fit_alpha or
+            smooth, or a squared deviation overflows.
     """
     ends = np.cumsum(counts)
     firsts = ends - counts
@@ -325,7 +326,13 @@ def _reports(
         if not ok:
             _finite_series(bias[first:end])
         simple, es = raw - last_bias, raw - forecast
-        deviations = ((raw - holdout) ** 2, (simple - holdout) ** 2, (es - holdout) ** 2)
+        try:
+            deviations = ((raw - holdout) ** 2, (simple - holdout) ** 2, (es - holdout) ** 2)
+        except OverflowError:
+            raise ValueError(
+                f"stock {stock_id}: a squared forecast deviation overflows; "
+                f"h_per_year = {float(config.h_per_year):g} is far from a sampling rate"
+            ) from None
         reports.append(ForecastReport(stock_id, holdout, raw, simple, es, *deviations))
     return reports
 

@@ -306,7 +306,11 @@ def test_pipeline_rejects_constant_c_outside_constant_mode(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "zeros, expected_code, text",
-    [(400, 2, "config: h_per_year does not convert to a float"), (300, 1, "Numerical result out of range")],
+    [
+        (400, 2, "config: h_per_year does not convert to a float"),
+        (300, 2, "stock 100001: a squared forecast deviation overflows; "
+                 "h_per_year = 1e+300 is far from a sampling rate"),
+    ],
     ids=["past_float_range", "overflowing_deviations"],
 )
 def test_pipeline_reports_huge_h_per_year_in_one_line(capsys, tmp_path, zeros, expected_code, text):

@@ -276,3 +276,90 @@ def test_surface_csv_layout():
     lines = text.splitlines()
     assert lines[0] == "mu,C,expectation,bias,flag"
     assert lines[1] == "0.345,0,0.4312799913,0.08627999128,ok"
+
+
+def cellwise_csv(cells):
+    """surface_csv as it was when bias_surface returned a list of cells."""
+    lines = ["mu,C,expectation,bias,flag"]
+    for cell in cells:
+        lines.append(
+            f"{cell.mu:.10g},{cell.C:.10g},{cell.expectation:.10g},{cell.bias:.10g},{cell.flag}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+surface_grids = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=7)
+
+
+@given(
+    mu=surface_grids,
+    c=surface_grids,
+    sigma=st.floats(0.005, 1.0),
+    T=st.floats(0.1, 10.0),
+    direction=st.sampled_from([ABOVE, BELOW]),
+)
+def test_surface_matches_cellwise_reference(mu, c, sigma, T, direction):
+    # With sigma down to 0.005 a grid over [-2, 2] reaches |d| far past
+    # MILLS_GUARD, so many examples hold degenerate cells.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        surface = ce.bias_surface(mu, c, sigma=sigma, T=T, direction=direction)
+        cells = list(surface)
+        assert ce.surface_csv(surface) == cellwise_csv(cells)
+        for cell in cells:
+            query = q(nu=cell.mu - 0.5 * sigma * sigma, sigma=sigma, T=T, C=cell.C, direction=direction)
+            if cell.flag == "degenerate":
+                assert math.isnan(cell.expectation) and math.isnan(cell.bias)
+                with pytest.raises(DegenerateConditionError):
+                    ce.conditional_mu(query)
+                continue
+            assert cell.flag == "ok"
+            reference = ce.conditional_mu(query)
+            assert cell.expectation == reference.expectation
+            assert cell.bias == reference.bias
+
+
+def test_surface_reads_as_a_sequence_of_cells():
+    mu, c = [-0.2, 0.0, 0.3], [-0.1, 0.0, 0.1, 0.5]
+    surface = ce.bias_surface(mu, c, sigma=0.3, T=1.0, direction=ABOVE)
+    assert surface.expectation.shape == surface.bias.shape == surface.degenerate.shape == (3, 4)
+    assert surface.mu.tolist() == mu and surface.C.tolist() == c
+    cells = list(surface)
+    assert len(surface) == len(cells) == len(mu) * len(c)
+    assert all(isinstance(cell, ce.SurfaceCell) for cell in cells)
+    assert [(cell.mu, cell.C) for cell in cells] == [(m, x) for m in mu for x in c]
+    assert surface[0] == cells[0] and (surface[0].mu, surface[0].C) == (-0.2, -0.1)
+    assert surface[-1] == cells[-1] and (surface[-1].mu, surface[-1].C) == (0.3, 0.5)
+    assert surface[5] == cells[5] == surface[-7]
+    assert surface[5].expectation == surface.expectation[1, 1]
+    for i, j in ((2, 9), (0, 12), (-5, None), (None, -3), (4, 4), (9, 2), (0, 100)):
+        assert surface[i:j] == cells[i:j]
+    assert surface[::-3] == cells[::-3]
+    for index in (12, -13):
+        with pytest.raises(IndexError):
+            surface[index]
+
+
+def test_surface_sequence_of_one_row():
+    single = ce.bias_surface([0.1], [0.2], sigma=0.3, T=1.0, direction=BELOW)
+    assert len(single) == 1 and list(single) == [single[0]] == [single[-1]] == single[:]
+    assert (single[0].mu, single[0].C, single[0].flag) == (0.1, 0.2, "ok")
+    c = [-0.5, 0.0, 0.5, 1.0, 20.0]
+    row = ce.bias_surface([0.0], c, sigma=0.1, T=1.0, direction=ABOVE)
+    assert len(row) == len(list(row)) == 5
+    assert [cell.C for cell in row] == c and {cell.mu for cell in row} == {0.0}
+    assert [cell.flag for cell in row] == ["ok"] * 4 + ["degenerate"]
+    with pytest.raises(IndexError):
+        row[5]
+
+
+def test_surface_rejects_bad_grids():
+    for mu, c, text in (
+        ([], [0.0], "mu_grid and C_grid must be non-empty"),
+        ([0.0], [], "mu_grid and C_grid must be non-empty"),
+        ([0.0, math.nan], [0.0], "mu_grid and C_grid must be finite"),
+        ([0.0], [math.inf], "mu_grid and C_grid must be finite"),
+        ([[0.0]], [0.0], "mu_grid and C_grid must be one-dimensional"),
+    ):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            ce.bias_surface(mu, c, sigma=0.3, T=1.0, direction=ABOVE)
