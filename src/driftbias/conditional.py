@@ -9,10 +9,10 @@ the drift estimator nu_hat = R_T / T has the closed form
 
 with d = (C - nu*T) / (sigma*sqrt(T)). The ratio phi/tail is the inverse
 Mills ratio (normal hazard); it is evaluated here through the scaled
-complementary error function, which stays accurate in the far tails where
-Phi itself underflows. Once |d| exceeds ``MILLS_GUARD`` on the conditioned
-side, the event probability is zero in double precision and the query is
-rejected as degenerate.
+complementary error function (``_special.erfcx``), which stays accurate in
+the far tails where Phi itself underflows. Once |d| exceeds ``MILLS_GUARD``
+on the conditioned side, the event probability is zero in double precision
+and the query is rejected as degenerate.
 
 A slow quadrature evaluation of the raw integral form and a direct Monte
 Carlo sampler are provided as independent cross-checks of the closed form.
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
+from ._special import erfcx
 from .errors import DegenerateConditionError
 
 __all__ = [
@@ -183,18 +183,18 @@ def _closed_form(
     ufuncs touch nu and C; sigma and T are scalars.
 
     Returns:
-        (expectation, event probability, d, degenerate), where degenerate
-        marks |d| > MILLS_GUARD on the conditioned side. Degenerate entries
-        carry no meaningful expectation.
+        (expectation, d, degenerate), where degenerate marks |d| >
+        MILLS_GUARD on the conditioned side. Degenerate entries carry no
+        meaningful expectation.
     """
     side = 1.0 if direction is Direction.ABOVE else -1.0
     d = (C - nu * T) / (sigma * math.sqrt(T))
     z = side * d
     # Past the guard the event is degenerate; a larger z would overflow the
     # Mills ratio, or at +inf divide by zero.
-    inverse_mills = _SQRT_2_OVER_PI / special.erfcx(np.minimum(z, MILLS_GUARD) / _SQRT_2)
+    inverse_mills = _SQRT_2_OVER_PI / erfcx(np.minimum(z, MILLS_GUARD) / _SQRT_2)
     expectation = nu + side * (sigma / math.sqrt(T)) * inverse_mills
-    return expectation, special.ndtr(-z), d, z > MILLS_GUARD
+    return expectation, d, z > MILLS_GUARD
 
 
 def conditional_nu(q: ConditionalQuery) -> ConditionalResult:
@@ -212,16 +212,18 @@ def conditional_nu(q: ConditionalQuery) -> ConditionalResult:
         DegenerateConditionError: the conditioning event has probability
             0.0 in double precision (|d| > MILLS_GUARD on the wrong side).
     """
-    expectation, prob, d, degenerate = _closed_form(q.nu, q.sigma, q.T, q.C, q.direction)
+    expectation, d, degenerate = _closed_form(q.nu, q.sigma, q.T, q.C, q.direction)
+    above = q.direction is Direction.ABOVE
     if degenerate:
-        event = "R_T > C" if q.direction is Direction.ABOVE else "R_T <= C"
+        event = "R_T > C" if above else "R_T <= C"
         raise DegenerateConditionError(
             f"event {event} has zero probability in double precision (d = {d:.6g})"
         )
     expectation = float(expectation)
+    z = d if above else -d
     return ConditionalResult(
         expectation=expectation,
-        tail_probability=float(prob),
+        tail_probability=0.5 * math.erfc(z / _SQRT_2),  # Phi(-z)
         bias=expectation - q.nu,
         mills_argument=d,
     )
@@ -371,7 +373,7 @@ def bias_surface(
     )
     _check_scale(sigma, T, direction, corners)
     nu = (mu - half_variance)[:, None]
-    expectation, _, _, degenerate = _closed_form(nu, sigma, T, c, direction)
+    expectation, _, degenerate = _closed_form(nu, sigma, T, c, direction)
     bias = expectation - nu
     expectation += half_variance
     expectation[degenerate] = bias[degenerate] = math.nan

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
+from ._special import chi2_sf
 from .errors import DegenerateVarianceError
 
 __all__ = ["AcfResult", "LjungBoxResult", "acf_pacf", "ljung_box"]
@@ -121,5 +121,5 @@ def ljung_box(series: Sequence[float], lags: int) -> LjungBoxResult:
     result = acf_pacf(y, lags)
     k = np.arange(1, lags + 1)
     q = float(n * (n + 2) * np.sum(result.acf**2 / (n - k)))
-    p_value = float(special.gammaincc(lags / 2.0, q / 2.0))
+    p_value = chi2_sf(lags, q)
     return LjungBoxResult(q_statistic=q, lags_tested=lags, p_value=p_value)

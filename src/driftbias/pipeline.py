@@ -262,7 +262,7 @@ def _gates(
     valid = opened & np.isfinite(sigma) & (sigma > 0)
     # Only a d that is not finite overflows or makes nan here, and it is marked.
     with np.errstate(over="ignore", invalid="ignore"):
-        expectation, _, d, past_guard = _closed_form(
+        expectation, d, past_guard = _closed_form(
             nu_hat[valid], sigma[valid], 1.0, benchmark[valid], Direction.ABOVE
         )
     degenerate = past_guard | ~np.isfinite(d)

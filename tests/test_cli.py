@@ -368,18 +368,19 @@ def test_simulate_rejects_prices_past_the_float_range(capsys, mu):
     assert err == f"error: the simulated prices leave the float range: mu = {float(mu)}, T = 1.0, a0 = 100.0\n"
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # Only the quadrature oracle needs scipy.integrate; loading it at
-    # import would slow every cold start of the CLI.
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency: scipy is for the tests and the
+    # quadrature oracle, and loading any of it would slow every cold start.
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, driftbias.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, driftbias; print('scipy.integrate' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 def run_pipeline(capsys, prices=FIXTURES / "prices.csv", capm=FIXTURES / "capm.csv"):
