@@ -10,6 +10,7 @@ file row by row and names the line of each fault.
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Iterator
 
 import numpy as np
@@ -56,9 +57,10 @@ def read_table(path: str, header: str, dtype: np.dtype) -> np.ndarray | None:
     ``dtype``. Otherwise the result is None, and the caller reads the file
     with ``read_rows``.
 
-    Float fields hold what ``float`` makes of the same cell. String fields
-    hold the raw cell, neither stripped like ``read_rows`` cells nor kept
-    whole when it is as long as the field, so callers must check them.
+    Float and integer fields hold what ``float`` and ``int`` make of the
+    same cell. String fields hold the raw cell, neither stripped like
+    ``read_rows`` cells nor kept whole when it is as long as the field, so
+    callers must check them.
     """
     # np.loadtxt reads a file whose name ends in one of these as compressed,
     # and a name shaped like a URL as one to download.
@@ -76,10 +78,13 @@ def read_table(path: str, header: str, dtype: np.dtype) -> np.ndarray | None:
     if not has_rows:
         return None
     try:
-        return np.loadtxt(
-            path, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1, encoding="latin-1"
-        )
-    except ValueError:
+        with warnings.catch_warnings():
+            # Older numpy reads "2009.0" into an integer field, warning only that this is deprecated.
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(
+                path, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1, encoding="latin-1"
+            )
+    except (ValueError, DeprecationWarning):
         return None
 
 

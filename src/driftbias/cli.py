@@ -168,18 +168,10 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
     )
 
 
-def _query_from(args: argparse.Namespace) -> conditional.ConditionalQuery:
-    return conditional.ConditionalQuery(
-        nu=args.nu,
-        sigma=args.sigma,
-        T=args.T,
-        C=args.C,
-        direction=conditional.Direction(args.direction),
-    )
-
-
 def _cmd_conditional(args: argparse.Namespace) -> None:
-    result = conditional.conditional_nu(_query_from(args))
+    direction = conditional.Direction(args.direction)
+    query = conditional.ConditionalQuery(args.nu, args.sigma, args.T, args.C, direction)
+    result = conditional.conditional_nu(query)
     _emit(
         "expectation,tail_probability,bias,mills_argument\n"
         f"{result.expectation!r},{result.tail_probability!r},"

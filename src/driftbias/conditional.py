@@ -53,6 +53,8 @@ MILLS_GUARD = 37.0
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_SQRT_2_LOW = -9.667293313452913e-17  # sqrt(2) - _SQRT_2
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
 class Direction(enum.Enum):
@@ -212,6 +214,8 @@ def conditional_nu(q: ConditionalQuery) -> ConditionalResult:
         DegenerateConditionError: the conditioning event has probability
             0.0 in double precision (|d| > MILLS_GUARD on the wrong side).
     """
+    from fractions import Fraction  # only tail_probability needs it; keeps import driftbias lighter
+
     expectation, d, degenerate = _closed_form(q.nu, q.sigma, q.T, q.C, q.direction)
     above = q.direction is Direction.ABOVE
     if degenerate:
@@ -221,9 +225,14 @@ def conditional_nu(q: ConditionalQuery) -> ConditionalResult:
         )
     expectation = float(expectation)
     z = d if above else -d
+    # Phi(-z) = erfc(z / sqrt(2)) / 2. t = z / sqrt(2) is rounded, by up to
+    # |z| * 2**-53, which erfc's slope would make a relative error of z*z *
+    # 2**-53; the slope carries the rest of z / sqrt(2) back in.
+    t = z / _SQRT_2
+    rest = (float(Fraction(z) - Fraction(t) * Fraction(_SQRT_2)) - t * _SQRT_2_LOW) / _SQRT_2
     return ConditionalResult(
         expectation=expectation,
-        tail_probability=0.5 * math.erfc(z / _SQRT_2),  # Phi(-z)
+        tail_probability=0.5 * (math.erfc(t) - _TWO_OVER_SQRT_PI * math.exp(-t * t) * rest),
         bias=expectation - q.nu,
         mills_argument=d,
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 import datetime
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import chain, groupby
 from typing import NamedTuple, Sequence
 
@@ -532,18 +532,12 @@ def parse_config(text: str) -> PipelineConfig:
         if key in values:
             raise ParseError(f"config line {lineno}: duplicate key '{key}'")
         values[key] = value
-    kwargs: dict[str, object] = {}
     try:
-        if "alpha" in values:
-            kwargs["alpha"] = float(values.pop("alpha"))
-        if "fit_alpha" in values:
-            kwargs["fit_alpha"] = _parse_bool(values.pop("fit_alpha"))
-        if "h_per_year" in values:
-            kwargs["h_per_year"] = int(values.pop("h_per_year"))
-        if "benchmark_mode" in values:
-            kwargs["benchmark_mode"] = values.pop("benchmark_mode")
-        if "constant_c" in values:
-            kwargs["constant_c"] = float(values.pop("constant_c"))
+        kwargs = {
+            field.name: _CONVERTERS[field.type](values.pop(field.name))
+            for field in fields(PipelineConfig)
+            if field.name in values
+        }
     except ValueError as exc:
         raise ParseError(f"config: {exc}") from None
     if values:
@@ -562,6 +556,10 @@ def _parse_bool(value: str) -> bool:
     if lowered in ("false", "0", "no"):
         return False
     raise ValueError(f"expected a boolean, got '{value}'")
+
+
+# Each PipelineConfig field's value from its config text, by the field's type.
+_CONVERTERS = {"float": float, "float | None": float, "bool": _parse_bool, "int": int, "str": str}
 
 
 def load_config(path: str) -> PipelineConfig:
@@ -587,7 +585,6 @@ def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> list[Sto
     """
     prices = _read_prices(prices_path)
     capm_rows = _read_capm(capm_path)
-    rates = list(map(capm_rows.get, zip(prices.stock_ids, prices.years)))
     step_h = 1.0 / config.h_per_year
     sizes = np.diff(prices.offsets).tolist()
     datasets = []
@@ -607,7 +604,13 @@ def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> list[Sto
                 raise InsufficientDataError(
                     f"stock {stock_id}, year {year}: a period needs >= 2 observations, got {size}"
                 )
-        beta, risk_free, market = _capm_for_stock(capm_path, rates[first:end], stock_id, years)
+        rates = [capm_rows.get((stock_id, year)) for year in years]
+        if None in rates:
+            year = years[rates.index(None)]
+            raise ParseError(f"{capm_path}: missing CAPM row for stock {stock_id}, year {year}")
+        betas, risk_free, market = zip(*rates)
+        if len(set(betas)) != 1:
+            raise ParseError(f"{capm_path}: stock {stock_id}: beta must be constant across years")
         start = prices.offsets[first]
         datasets.append(
             StockDataset(
@@ -616,7 +619,7 @@ def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> list[Sto
                 closes=prices.closes[start : prices.offsets[end]],
                 offsets=[offset - start for offset in prices.offsets[first : end + 1]],
                 step_h=step_h,
-                beta=beta,
+                beta=betas[0],
                 risk_free=risk_free,
                 market_return_expectation=market,
             )
@@ -732,10 +735,10 @@ def _read_price_rows(path: str) -> _Prices:
     return _Prices(np.array(closes, dtype=float), stock_ids, years, [*starts, len(closes)])
 
 
-# A CAPM row as numpy's tokenizer stores it: the id and year cells as
-# NUL-padded bytes, then the three rates.
+# A CAPM row as numpy's tokenizer stores it: the id cell as NUL-padded bytes, then
+# the year, which numpy's integer parser reads as int() does, and the three rates.
 _CAPM_DTYPE = np.dtype([
-    ("stock_id", "S16"), ("year", "S8"),
+    ("stock_id", "S16"), ("year", "i8"),
     ("beta", "f8"), ("risk_free", "f8"), ("market_return_expectation", "f8"),
 ])
 
@@ -756,19 +759,12 @@ def _capm_columns(table: np.ndarray) -> dict[tuple[str, int], tuple[float, float
     names = CAPM_HEADER.split(",")[2:]
     if not all(np.isfinite(table[name]).all() for name in names):
         return None
-    # Bytes 16-23 of a row hold the year cell: one to seven ASCII digits,
-    # then NUL padding. A cell as long as the field may have been cut.
-    year_bytes = table.view(np.uint8).reshape(table.size, _CAPM_DTYPE.itemsize)[:, 16:24]
-    if not (((year_bytes - ord("0") <= 9) | (year_bytes == 0)).all() and year_bytes[:, 0].all()):
-        return None
-    if year_bytes[:, -1].any():
-        return None
     stock_ids = [cell.decode() for cell in table["stock_id"].tolist()]
     # The row loop strips each id; one as long as the field may have been cut.
     width = _CAPM_DTYPE["stock_id"].itemsize
     if not all(stock_id == stock_id.strip() and len(stock_id) < width for stock_id in set(stock_ids)):
         return None
-    keys = zip(stock_ids, table["year"].astype(np.int64).tolist())
+    keys = zip(stock_ids, table["year"].tolist())
     rows = dict(zip(keys, zip(*(table[name].tolist() for name in names))))
     return rows if len(rows) == table.size else None  # a duplicate (id, year) goes to the row loop
 
@@ -789,23 +785,6 @@ def _read_capm_rows(path: str) -> dict[tuple[str, int], tuple[float, float, floa
             raise ParseError(f"{path}: line {lineno}: duplicate row for {stock_id}/{year}")
         rows[key] = values
     return rows
-
-
-def _capm_for_stock(
-    path: str,
-    rates: list[tuple[float, float, float] | None],
-    stock_id: str,
-    years: Sequence[int],
-) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
-    """The stock's beta, risk-free rates and market expectations from the
-    CAPM rows of its years, None where a year has none."""
-    if None in rates:
-        year = years[rates.index(None)]
-        raise ParseError(f"{path}: missing CAPM row for stock {stock_id}, year {year}")
-    betas, risk_free, market = zip(*rates)
-    if len(set(betas)) != 1:
-        raise ParseError(f"{path}: stock {stock_id}: beta must be constant across years")
-    return betas[0], risk_free, market
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,7 @@ def test_smoothing_identities():
         records = _random_records(rng, int(rng.integers(3, 12)))
         es = es_adjust(records, SmoothingConfig(alpha=1.0))
         simple = simple_adjust(records)
-        worst_identity = max(abs(a - b) for a, b in zip(es, simple))
+        worst_identity = max(worst_identity, *(abs(a - b) for a, b in zip(es, simple)))
     assert worst_identity <= 1e-12
 
     worst_sum = 0.0

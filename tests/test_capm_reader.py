@@ -4,17 +4,19 @@
 returns for every file: the same (stock_id, year) keys with the same
 values bit for bit, or the same error with the same text. Random files
 start valid and then take a few edits, among them every shape that a
-column-wise reader must leave to the row loop: blank and whitespace-only
-lines, CRLF line ends, padded cells, years with a sign, an underscore,
-non-ASCII digits or more digits than a field holds, non-finite values,
-non-ASCII and over-long ids, duplicate rows, stray control characters
-and bytes that are not UTF-8.
+column-wise reader must read as the row loop does or leave to it: blank
+and whitespace-only lines, CRLF line ends, padded cells, years with a
+sign, an underscore, a decimal point, non-ASCII digits or more digits
+than an int64 holds, non-finite values, non-ASCII and over-long ids,
+duplicate rows, stray control characters and bytes that are not UTF-8.
 """
 
 import pathlib
 import tempfile
+import warnings
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -29,7 +31,7 @@ VALUE_TEXTS = st.one_of(
 )
 BAD_YEARS = st.sampled_from([
     "+2011", "-2011", " 2011", "2011 ", "2_011", "２０１１", "20.11", "2e3", "", "0x7db", "0", "0002011",
-    "1234567", "12345678", "123456789012345678901234", "2011\x0c",
+    "1234567", "12345678", "123456789012345678901234", "2011\x0c", "2011.0",
 ])
 BAD_VALUES = st.sampled_from([
     "nan", "inf", "-inf", "1e400", "-1e400", "1_0", "１", "0x10", "", "abc", " 1.5 ", "\t1.5", "1.5\x0c",
@@ -135,14 +137,33 @@ def test_plain_files_are_read_column_wise(tmp_path):
     assert pipeline._read_capm(str(path))[("A B", 2012)] == (1.0, 0.5, -2.0)
 
 
-# Rows numpy's tokenizer would take, cut or read otherwise than the row
-# loop does. Each sits between stocks A and B, so that only the check it
+def capm_file(tmp_path, row):
+    """A CAPM file with ``row`` between two plain rows of stocks A and B."""
+    path = tmp_path / "capm.csv"
+    path.write_bytes(f"{pipeline.CAPM_HEADER}\nA,2011,1,0.03,0.08\n{row}\nB,2011,1,0.03,0.08\n".encode())
+    return path
+
+
+# Years that numpy's integer parser reads as int() does.
+@pytest.mark.parametrize(
+    "row",
+    ["AA,+2011,1,0.03,0.08", "AA,-2011,1,0.03,0.08", "AA, 2011,1,0.03,0.08", "AA,2011 ,1,0.03,0.08",
+     "AA,12345678,1,0.03,0.08"],
+)
+def test_signed_padded_and_long_years_are_read_column_wise(tmp_path, row):
+    path = capm_file(tmp_path, row)
+    assert column_wise(path)
+    assert outcome(pipeline._read_capm, str(path)) == outcome(pipeline._read_capm_rows, str(path))
+
+
+# Rows numpy's tokenizer would refuse, take, cut or read otherwise than the
+# row loop does. Each sits between stocks A and B, so that only the check it
 # names can send the file to the row loop.
 @pytest.mark.parametrize(
     "row",
     [
-        "AA,+2011,1,0.03,0.08", "AA,-2011,1,0.03,0.08", "AA, 2011,1,0.03,0.08", "AA,2011 ,1,0.03,0.08",
-        "AA,2_011,1,0.03,0.08", "AA,12345678,1,0.03,0.08", "AA,,1,0.03,0.08", "AA,20.11,1,0.03,0.08",
+        "AA,2_011,1,0.03,0.08", "AA,,1,0.03,0.08", "AA,20.11,1,0.03,0.08", "AA,2011.0,1,0.03,0.08",
+        "AA,12345678901234567890,1,0.03,0.08",
         "AAAAAAAAAAAAAAAA,2011,1,0.03,0.08", "AAAAAAAAAAAAAAAAA,2011,1,0.03,0.08", " AA,2011,1,0.03,0.08",
         "AA ,2011,1,0.03,0.08", "AA,2011,nan,0.03,0.08", "AA,2011,1,inf,0.08", "AA,2011,1,0.03,1e400",
         "A,2011,1,0.03,0.08", "A,02011,2,0.03,0.08", "AA,2011,1_0,0.03,0.08", "AA,2011,1,0.03,0.08,1",
@@ -150,7 +171,18 @@ def test_plain_files_are_read_column_wise(tmp_path):
     ],
 )
 def test_unusual_rows_go_to_the_row_loop(tmp_path, row):
-    path = tmp_path / "capm.csv"
-    path.write_bytes(f"{pipeline.CAPM_HEADER}\nA,2011,1,0.03,0.08\n{row}\nB,2011,1,0.03,0.08\n".encode())
+    path = capm_file(tmp_path, row)
     assert not column_wise(path)
     assert outcome(pipeline._read_capm, str(path)) == outcome(pipeline._read_capm_rows, str(path))
+
+
+def test_a_deprecated_integer_parse_goes_to_the_row_loop(monkeypatch):
+    # Older numpy reads "2011.0" into an integer field, warning that this is deprecated.
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    assert not column_wise(FIXTURE)

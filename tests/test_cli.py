@@ -107,6 +107,14 @@ def test_simulate_estimate_round_trip(capsys, tmp_path):
     assert float(T) == 1.0
 
 
+def test_estimate_rejects_zero_h_per_year(capsys, tmp_path):
+    prices = tmp_path / "prices.csv"
+    prices.write_text("date_index,price\n0,1.0\n1,1.5\n2,1.2\n")
+    code, out, err = run_cli(capsys, "estimate", "--prices", str(prices), "--h-per-year", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: --h-per-year must be positive, got 0.0\n"
+
+
 def test_estimate_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "estimate", "--prices", str(tmp_path / "nope.csv"))
     assert code == 2

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -112,6 +113,17 @@ def test_tail_probability_at_median():
 def test_tail_probability_one_sd():
     assert tail_probability(q(C=0.3)) == pytest.approx(1.0 - PHI_1, rel=1e-12)
     assert tail_probability(q(C=0.3, direction=BELOW)) == pytest.approx(PHI_1, rel=1e-12)
+
+
+def test_tail_probability_within_4_ulp_of_mpmath():
+    # z = d runs over [-8, 37] in steps of about 0.0137, into the far tail
+    # where rounding z / sqrt(2) alone cost up to about 1,600 ulp.
+    worst = 0.0
+    with mpmath.workdps(40):
+        for z in np.linspace(-8.0, 37.0, 3301).tolist():
+            exact = float(mpmath.erfc(mpmath.mpf(z) / mpmath.sqrt(2)) / 2)
+            worst = max(worst, abs(tail_probability(q(sigma=1.0, C=z)) - exact) / math.ulp(exact))
+    assert worst <= 4.0
 
 
 @given(queries)

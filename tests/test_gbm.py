@@ -129,6 +129,15 @@ def test_estimate_zero_returns():
     assert result.sigma2_hat == 0.0
 
 
+def test_return_series_and_estimate_validation():
+    with pytest.raises(ValueError, match=r"^step_h must be positive, got 0\.0$"):
+        gbm.ReturnSeries(step_h=0.0, returns=(0.01,))
+    with pytest.raises(ValueError, match="^a return series needs at least one return$"):
+        gbm.ReturnSeries(step_h=1.0, returns=())
+    with pytest.raises(ValueError, match="^sigma2_hat cannot be negative$"):
+        gbm.EstimateResult(nu_hat=0.0, sigma2_hat=-1.0, n=2, T=1.0)
+
+
 def test_estimate_needs_two_returns():
     series = gbm.ReturnSeries(step_h=1.0, returns=(0.01,))
     with pytest.raises(InsufficientDataError):
@@ -210,6 +219,10 @@ def test_read_price_csv_rejects_bad_rows(tmp_path):
     target.write_text("date_index,price\n0,abc\n")
     with pytest.raises(ParseError, match="line 2"):
         gbm.read_price_csv(str(target), step_h=1.0)
+    target.write_text("date_index,price\n0,1.0\n2,1.5\n")
+    with pytest.raises(ParseError) as excinfo:
+        gbm.read_price_csv(str(target), step_h=1.0)
+    assert str(excinfo.value) == f"{target}: line 3: date_index must count up from 0, got 2"
 
 
 def test_price_path_validation():
@@ -221,6 +234,12 @@ def test_price_path_validation():
         gbm.PricePath(t0=0.0, step_h=1.0, prices=(100.0, 0.0))
     with pytest.raises(ValueError, match="finite"):
         gbm.PricePath(t0=0.0, step_h=1.0, prices=(100.0, math.inf))
+
+
+def test_price_path_steps_and_duration():
+    path = gbm.PricePath(t0=0.0, step_h=0.25, prices=(100.0, 101.0, 102.0))
+    assert path.n_steps == 2
+    assert path.duration == 0.5
 
 
 def test_paths_are_read_only():

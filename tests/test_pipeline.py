@@ -121,6 +121,9 @@ def test_dataset_checks_closes_and_offsets():
             pipeline.StockDataset(closes=[1.0, 2.0, 3.0, bad], offsets=[0, 2, 4], **data)
     with pytest.raises(ValueError, match="step_h"):
         pipeline.StockDataset(closes=[1.0, 2.0, 3.0, 4.0], offsets=[0, 2, 4], **{**data, "step_h": 0.0})
+    none = {**data, "years": (), "risk_free": (), "market_return_expectation": ()}
+    with pytest.raises(ValueError, match="^stock x: no periods$"):
+        pipeline.StockDataset(closes=[], offsets=[0], **none)
 
 
 def test_capm_benchmark():

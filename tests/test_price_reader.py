@@ -126,6 +126,12 @@ def column_wise(path):
     return table is not None and pipeline._price_columns(table) is not None
 
 
+def test_a_file_without_rows_is_not_read_column_wise(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_text("stock_id,date,close\n")
+    assert _csv.read_table(str(path), pipeline.PRICES_HEADER, pipeline._PRICE_DTYPE) is None
+
+
 @pytest.mark.parametrize("name", ["prices.csv.gz", "prices.bz2", "prices.xz", "prices.lzma"])
 def test_names_numpy_would_decompress_go_to_the_row_loop(tmp_path, name):
     path = tmp_path / name

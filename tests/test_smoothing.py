@@ -30,6 +30,11 @@ def test_smooth_and_fit_reject_non_finite_observations(bad):
         smoothing.fit_alpha([1.0, bad, 2.0, 3.0])
 
 
+def test_smoothed_series_needs_one_more_forecast():
+    with pytest.raises(ValueError, match="^forecasts must have exactly one more element than observations$"):
+        smoothing.SmoothedSeries(observations=[1.0, 2.0], forecasts=[1.0, 2.0], alpha=0.2)
+
+
 def test_smooth_empty_input():
     with pytest.raises(InsufficientDataError):
         smoothing.smooth([], smoothing.SmoothingConfig())
@@ -96,6 +101,11 @@ def test_weight_expansion_hand_case():
     assert weights == pytest.approx([0.2, 0.16, 0.64], rel=1e-14)
 
 
+def test_weight_expansion_needs_one_observation():
+    with pytest.raises(ValueError, match="^t must be at least 1, got 0$"):
+        smoothing.weight_expansion(smoothing.SmoothingConfig(), 0)
+
+
 @given(st.sampled_from(alpha_grid), st.integers(1, 100))
 def test_weights_sum_to_one(alpha, t):
     weights = smoothing.weight_expansion(smoothing.SmoothingConfig(alpha=alpha), t)
@@ -117,6 +127,11 @@ def test_expansion_reproduces_recurrence(y, alpha):
 def test_fit_alpha_needs_three_points():
     with pytest.raises(InsufficientDataError):
         smoothing.fit_alpha([1.0, 2.0])
+
+
+def test_fit_alpha_needs_a_grid():
+    with pytest.raises(ValueError, match="^alpha grid must be non-empty$"):
+        smoothing.fit_alpha([1.0, 2.0, 3.0], grid=[])
 
 
 def test_fit_alpha_frozen_grid_oracle():
