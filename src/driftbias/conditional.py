@@ -14,8 +14,9 @@ the far tails where Phi itself underflows. Once |d| exceeds ``MILLS_GUARD``
 on the conditioned side, the event probability is zero in double precision
 and the query is rejected as degenerate.
 
-A slow quadrature evaluation of the raw integral form and a direct Monte
-Carlo sampler are provided as independent cross-checks of the closed form.
+A direct Monte Carlo sampler is provided as an independent cross-check of
+the closed form; the tests also integrate the raw integral form by
+quadrature (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._format import WIDTH, format_g10
 from ._special import erfcx
 from .errors import DegenerateConditionError
 
@@ -40,7 +42,6 @@ __all__ = [
     "conditional_mu",
     "asymptotic_limit",
     "monte_carlo_conditional",
-    "conditional_nu_quadrature",
     "MonteCarloEstimate",
     "SurfaceCell",
     "Surface",
@@ -118,6 +119,11 @@ class SurfaceCell(NamedTuple):
 
 
 _FLAGS = ("ok", "degenerate")
+_FLAG_FIELDS = np.array(_FLAGS, dtype=f"S{WIDTH}").view(np.uint8).reshape(len(_FLAGS), WIDTH)
+_SEPARATORS = np.frombuffer(b",,,,\n", np.uint8)
+# Cells per byte matrix in surface_csv: the matrices take about 90 bytes a
+# cell, so a whole 400 x 400 surface at once would raise the peak memory.
+_SURFACE_CHUNK = 16_384
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,46 +316,6 @@ def monte_carlo_conditional(q: ConditionalQuery, paths: int, seed: int) -> Monte
     return MonteCarloEstimate(mean=mean, std_error=std_error, retained=retained)
 
 
-def conditional_nu_quadrature(q: ConditionalQuery) -> float:
-    """Slow evaluation of the raw truncated-mean integral.
-
-    Integrates exp(-(y - nu*T)**2 / (2*sigma**2*T)) over the conditioned
-    range with adaptive quadrature and assembles the bracketed integral
-    form of the conditional expectation. Kept purely as an independent
-    cross-check of the Mills-ratio closed form; it is orders of magnitude
-    slower and numerically worse.
-    """
-    from scipy import integrate  # only this oracle needs it; keeps import driftbias lighter
-
-    prob = conditional_nu(q).tail_probability  # raises on a degenerate event
-    d = q.mills_argument
-    mean = q.nu * q.T
-    spread2 = q.sigma * q.sigma * q.T
-
-    def gauss(y: float) -> float:
-        return math.exp(-((y - mean) ** 2) / (2.0 * spread2))
-
-    def integral(lo: float, hi: float) -> float:
-        # split at the peak so quad never hides it inside a wide interval
-        pieces = []
-        if lo < mean < hi:
-            pieces.append((lo, mean))
-            pieces.append((mean, hi))
-        else:
-            pieces.append((lo, hi))
-        total = 0.0
-        for a, b in pieces:
-            value, _ = integrate.quad(gauss, a, b, epsabs=1e-300, epsrel=1e-13, limit=300)
-            total += value
-        return total
-
-    if q.direction is Direction.ABOVE:
-        bracket = q.sigma * math.exp(-0.5 * d * d) + (q.nu / q.sigma) * integral(q.C, math.inf)
-    else:
-        bracket = -q.sigma * math.exp(-0.5 * d * d) + (q.nu / q.sigma) * integral(-math.inf, q.C)
-    return bracket / (math.sqrt(2.0 * math.pi * q.T) * prob)
-
-
 def bias_surface(
     mu_grid: Sequence[float],
     C_grid: Sequence[float],
@@ -390,18 +356,26 @@ def bias_surface(
 
 
 def surface_csv(surface: Surface) -> str:
-    """Render a surface as CSV with 10-significant-digit values.
+    """Render a surface as CSV, each value exactly as ``f"{x:.10g}"`` writes it.
 
-    Each grid value is formatted once; per cell only the expectation and
-    the bias are.
+    Each grid value is formatted once. The cells are laid out
+    ``_SURFACE_CHUNK`` at a time as NUL-padded fields, each followed by its
+    separator, and the NULs are dropped.
     """
-    c_text = [f"{c:.10g}" for c in surface.C.tolist()]
-    lines = ["mu,C,expectation,bias,flag"]
-    by_row = (surface.mu, surface.expectation, surface.bias, surface.degenerate)
-    for mu, expectations, biases, flags in zip(*(values.tolist() for values in by_row)):
-        row = f"{mu:.10g},"
-        lines.extend(
-            f"{row}{c},{e:.10g},{b:.10g},{_FLAGS[flag]}"
-            for c, e, b, flag in zip(c_text, expectations, biases, flags)
-        )
-    return "\n".join(lines) + "\n"
+    mu, c = format_g10(surface.mu), format_g10(surface.C)
+    degenerate = np.asarray(surface.degenerate, bool)
+    step = max(1, _SURFACE_CHUNK // max(1, len(c)))
+    parts = [b"mu,C,expectation,bias,flag\n"]
+    for start in range(0, len(mu), step):
+        rows = slice(start, start + step)
+        cells = (len(mu[rows]), len(c))
+        line = np.empty((*cells, 5, WIDTH + 1), np.uint8)
+        line[..., -1] = _SEPARATORS
+        line[:, :, 0, :-1] = mu[rows, None]
+        line[:, :, 1, :-1] = c
+        line[:, :, 2, :-1] = format_g10(surface.expectation[rows]).reshape(*cells, WIDTH)
+        line[:, :, 3, :-1] = format_g10(surface.bias[rows]).reshape(*cells, WIDTH)
+        line[:, :, 4, :-1] = _FLAG_FIELDS[degenerate[rows].view(np.uint8)]
+        flat = line.reshape(-1)
+        parts.append(flat[flat != 0].tobytes())
+    return b"".join(parts).decode("ascii")

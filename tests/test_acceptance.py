@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
+from oracles import conditional_nu_quadrature
 from test_diagnostics import AR1_FIXTURE, AR1_Q_ORACLE
 
 from driftbias import (
@@ -42,7 +43,6 @@ from driftbias import (
     bias_surface,
     conditional_mu,
     conditional_nu,
-    conditional_nu_quadrature,
     es_adjust,
     estimate_unconditional,
     ljung_box,

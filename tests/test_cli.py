@@ -377,8 +377,8 @@ def test_simulate_rejects_prices_past_the_float_range(capsys, mu):
 
 
 def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency: scipy is for the tests and the
-    # quadrature oracle, and loading any of it would slow every cold start.
+    # numpy is the only runtime dependency: scipy is for the tests, and
+    # loading any of it would slow every cold start.
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     code = "import sys, driftbias.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     result = subprocess.run(

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import conditional_nu_quadrature
+
 from driftbias import conditional as ce
 from driftbias.errors import DegenerateConditionError
 
@@ -236,7 +238,7 @@ def test_quadrature_agrees_on_spot_cells():
     ]
     for query in cells:
         closed = ce.conditional_nu(query).expectation
-        integral = ce.conditional_nu_quadrature(query)
+        integral = conditional_nu_quadrature(query)
         assert abs(integral - closed) <= 1e-8 * max(1.0, abs(closed))
 
 
@@ -329,6 +331,35 @@ def test_surface_matches_cellwise_reference(mu, c, sigma, T, direction):
             reference = ce.conditional_mu(query)
             assert cell.expectation == reference.expectation
             assert cell.bias == reference.bias
+
+
+@pytest.mark.parametrize(
+    "mu_steps, c_steps",
+    [
+        (ce._SURFACE_CHUNK // 97 + 1, 97),  # one row more than a chunk holds
+        (1, ce._SURFACE_CHUNK + 3),  # a single row wider than a chunk
+        (ce._SURFACE_CHUNK + 3, 1),
+        (400, 400),  # the benchmark's grid
+    ],
+)
+@pytest.mark.parametrize("direction", [ABOVE, BELOW])
+def test_large_surfaces_match_cellwise_reference(mu_steps, c_steps, direction):
+    # sigma 0.045 over [-1, 1] gives degenerate corners, biases that are
+    # exactly 0 and biases small enough for exponent notation.
+    surface = ce.bias_surface(
+        np.linspace(-1.0, 1.0, mu_steps), np.linspace(-1.0, 1.0, c_steps), sigma=0.045, T=1.0, direction=direction
+    )
+    text = ce.surface_csv(surface)
+    assert text == cellwise_csv(surface)
+    if mu_steps == c_steps:
+        assert surface.degenerate.any() and (surface.bias == 0.0).any() and "e-" in text
+
+
+def test_surface_csv_reads_an_integer_mask():
+    surface = ce.bias_surface(np.linspace(-1.0, 1.0, 21), np.linspace(-1.0, 1.0, 21), sigma=0.045, T=1.0, direction=ABOVE)
+    as_int = ce.Surface(surface.mu, surface.C, surface.expectation, surface.bias, surface.degenerate.astype(int))
+    assert surface.degenerate.any()
+    assert ce.surface_csv(as_int) == ce.surface_csv(surface)
 
 
 def test_surface_reads_as_a_sequence_of_cells():
