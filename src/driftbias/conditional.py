@@ -14,9 +14,8 @@ the far tails where Phi itself underflows. Once |d| exceeds ``MILLS_GUARD``
 on the conditioned side, the event probability is zero in double precision
 and the query is rejected as degenerate.
 
-A direct Monte Carlo sampler is provided as an independent cross-check of
-the closed form; the tests also integrate the raw integral form by
-quadrature (tests/oracles.py).
+The tests cross-check the closed form by direct Monte Carlo sampling and
+by integrating the raw integral form by quadrature (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ __all__ = [
     "conditional_nu",
     "conditional_mu",
     "asymptotic_limit",
-    "monte_carlo_conditional",
-    "MonteCarloEstimate",
     "SurfaceCell",
     "Surface",
     "bias_surface",
@@ -102,12 +99,6 @@ class ConditionalResult:
     tail_probability: float
     bias: float
     mills_argument: float
-
-
-class MonteCarloEstimate(NamedTuple):
-    mean: float
-    std_error: float
-    retained: int
 
 
 class SurfaceCell(NamedTuple):
@@ -272,48 +263,6 @@ def asymptotic_limit(nu: float, direction: Direction) -> float:
     if direction is Direction.ABOVE:
         return nu if nu > 0 else 0.0
     return nu if nu < 0 else 0.0
-
-
-def monte_carlo_conditional(q: ConditionalQuery, paths: int, seed: int) -> MonteCarloEstimate:
-    """Brute-force oracle for conditional_nu.
-
-    Draws R_T ~ N(nu*T, sigma**2*T) ``paths`` times, keeps the draws that
-    satisfy the direction condition, and averages nu_hat = R_T / T over
-    the kept draws.
-
-    Args:
-        q: Query to sample.
-        paths: Number of draws, >= 1000.
-        seed: Generator seed.
-
-    Returns:
-        (mean, std_error, retained); std_error is the sample standard
-        deviation of the kept nu_hat values divided by sqrt(retained),
-        or nan when only one draw survives.
-
-    Raises:
-        DegenerateConditionError: no draw satisfied the condition.
-    """
-    if paths < 1_000:
-        raise ValueError(f"paths must be at least 1000, got {paths}")
-    rng = np.random.default_rng(seed)
-    totals = rng.normal(q.nu * q.T, q.sigma * math.sqrt(q.T), size=paths)
-    if q.direction is Direction.ABOVE:
-        kept = totals[totals > q.C]
-    else:
-        kept = totals[totals <= q.C]
-    retained = int(kept.size)
-    if retained == 0:
-        raise DegenerateConditionError(
-            f"no simulated return satisfied the condition in {paths} paths"
-        )
-    estimates = kept / q.T
-    mean = float(estimates.mean())
-    if retained < 2:
-        std_error = float("nan")
-    else:
-        std_error = float(estimates.std(ddof=1) / math.sqrt(retained))
-    return MonteCarloEstimate(mean=mean, std_error=std_error, retained=retained)
 
 
 def bias_surface(

@@ -26,7 +26,6 @@ __all__ = [
     "EstimateResult",
     "simulate_gbm",
     "path_from_normals",
-    "substream",
     "log_returns",
     "estimate_unconditional",
     "write_price_csv",
@@ -186,15 +185,6 @@ def path_from_normals(params: GbmParams, a0: float, T: float, normals: np.ndarra
             f"the simulated prices leave the float range: mu = {params.mu}, T = {T}, a0 = {a0}"
         )
     return PricePath(t0=0.0, step_h=h, prices=prices)
-
-
-def substream(seed: int, path_index: int) -> np.random.Generator:
-    """Independent generator for one path of a Monte Carlo batch.
-
-    Streams are derived deterministically from (seed, path_index), so
-    batches can run in parallel and still reproduce exactly.
-    """
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(path_index,)))
 
 
 def log_returns(path: PricePath) -> ReturnSeries:

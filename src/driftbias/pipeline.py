@@ -23,9 +23,10 @@ from __future__ import annotations
 import datetime
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
-from itertools import chain, groupby
-from typing import NamedTuple, Sequence
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .smoothing import (
 __all__ = [
     "PipelineConfig",
     "StockDataset",
+    "Portfolio",
     "PeriodRecord",
     "ForecastReport",
     "capm_benchmark",
@@ -156,6 +158,65 @@ class StockDataset:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class Portfolio(Sequence[StockDataset]):
+    """Stocks as columns, as ``ingest`` returns them: in id order.
+
+    Period k holds ``closes[offsets[k]:offsets[k + 1]]``, of year
+    ``years[k]``, and its ``risk_free[k]`` and ``market_return_expectation[k]``.
+    Stock s, ``stock_ids[s]``, holds periods ``firsts[s]:firsts[s + 1]``, a
+    step of ``step_h[s]`` years and one ``beta[s]``. As a sequence it reads
+    as one StockDataset per stock, built on demand; a slice gives a list.
+    """
+
+    closes: np.ndarray
+    offsets: np.ndarray
+    years: np.ndarray
+    stock_ids: list[str]
+    firsts: np.ndarray
+    step_h: np.ndarray
+    beta: np.ndarray
+    risk_free: np.ndarray
+    market_return_expectation: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.stock_ids)
+
+    def __getitem__(self, index: int | slice) -> StockDataset | list[StockDataset]:
+        s = range(len(self))[index]  # a list's negative indices, slices and IndexError
+        if isinstance(s, range):
+            return [self[k] for k in s]
+        first, end = self.firsts[s : s + 2].tolist()
+        offsets = self.offsets[first : end + 1]
+        return StockDataset(
+            stock_id=self.stock_ids[s],
+            years=tuple(self.years[first:end].tolist()),
+            closes=self.closes[offsets[0] : offsets[-1]],
+            offsets=offsets - offsets[0],
+            step_h=self.step_h.item(s),
+            beta=self.beta.item(s),
+            risk_free=tuple(self.risk_free[first:end].tolist()),
+            market_return_expectation=tuple(self.market_return_expectation[first:end].tolist()),
+        )
+
+
+def _portfolio(stocks: Sequence[StockDataset]) -> Portfolio:
+    """``stocks``, in the order given, as one Portfolio."""
+    return Portfolio(
+        closes=np.concatenate([np.zeros(0), *(data.closes for data in stocks)]),
+        offsets=np.cumsum([0, *chain.from_iterable(np.diff(data.offsets).tolist() for data in stocks)]),
+        years=np.fromiter(chain.from_iterable(data.years for data in stocks), np.int64),
+        stock_ids=[data.stock_id for data in stocks],
+        firsts=np.cumsum([0, *(data.n_periods for data in stocks)]),
+        step_h=np.array([data.step_h for data in stocks], dtype=float),
+        beta=np.array([data.beta for data in stocks], dtype=float),
+        risk_free=np.fromiter(chain.from_iterable(data.risk_free for data in stocks), float),
+        market_return_expectation=np.fromiter(
+            chain.from_iterable(data.market_return_expectation for data in stocks), float
+        ),
+    )
+
+
 @dataclass(frozen=True)
 class PeriodRecord:
     """One period's estimates, gate outcome, and realized bias.
@@ -223,25 +284,16 @@ class _Columns(NamedTuple):
     benchmark: np.ndarray
 
 
-def _columns(stocks: Sequence[StockDataset], config: PipelineConfig) -> _Columns:
-    """Every period of ``stocks`` as columns, stock after stock."""
-    counts = [data.n_periods for data in stocks]
-    sizes = np.diff(np.concatenate([data.offsets for data in stocks]))
-    # Every period holds at least two closes; only the step from one stock's
-    # last offset to the next stock's 0 is negative.
-    sizes = sizes[sizes > 0]
-    step_h = np.repeat([data.step_h for data in stocks], counts)
+def _columns(portfolio: Portfolio, config: PipelineConfig) -> _Columns:
+    """Every period of ``portfolio`` as columns, stock after stock."""
+    counts = np.diff(portfolio.firsts)
     if config.benchmark_mode == "constant":
-        benchmark = np.full(sizes.size, float(config.constant_c))
+        benchmark = np.full(portfolio.risk_free.size, float(config.constant_c))
     else:
-        risk_free = np.fromiter(chain.from_iterable(data.risk_free for data in stocks), float, sizes.size)
-        market = np.fromiter(
-            chain.from_iterable(data.market_return_expectation for data in stocks), float, sizes.size
-        )
-        beta = np.repeat([data.beta for data in stocks], counts)
+        beta = np.repeat(portfolio.beta, counts)
         with np.errstate(over="ignore", invalid="ignore"):  # huge rates give C = +-inf or nan
-            benchmark = capm_benchmark(risk_free, beta, market)
-    return _Columns(np.concatenate([data.closes for data in stocks]), sizes, step_h, benchmark)
+            benchmark = capm_benchmark(portfolio.risk_free, beta, portfolio.market_return_expectation)
+    return _Columns(portfolio.closes, np.diff(portfolio.offsets), np.repeat(portfolio.step_h, counts), benchmark)
 
 
 def _gates(
@@ -375,7 +427,7 @@ def build_period_records(
         raise InsufficientDataError(
             f"stock {data.stock_id}: need at least 2 periods, got {data.n_periods}"
         )
-    columns = _columns([data], config)
+    columns = _columns(_portfolio([data]), config)
     nu_hat, sigma2_hat, realized = _estimate_segments(columns.closes, columns.sizes, columns.step_h)
     gates = _thread_gates(realized, columns.benchmark, nu_hat, sigma2_hat, np.array([data.n_periods]))[:3]
     values = (nu_hat, sigma2_hat, realized, columns.benchmark, *gates)
@@ -481,27 +533,32 @@ def score_portfolio(
 
     All stocks are scored together, as columns. A stock that cannot be
     scored raises what ``score_and_report`` raises for it, after the
-    stocks before it in id order were scored.
+    stocks before it in id order were scored. A Portfolio is scored as it
+    stands, in id order as ``ingest`` makes it; any other sequence is
+    sorted by id into one first.
 
     Returns:
         The per-stock reports ordered by stock id plus the totals
         (sd_raw, sd_simple, sd_es).
     """
-    stocks = sorted(datasets, key=lambda item: item.stock_id)
+    if isinstance(datasets, Portfolio):
+        stocks = datasets
+    else:
+        stocks = _portfolio(sorted(datasets, key=lambda item: item.stock_id))
     reports: list[ForecastReport] = []
-    if stocks:
+    if len(stocks):
         columns = _columns(stocks, config)
-        counts = np.array([data.n_periods for data in stocks])
-        firsts = np.cumsum(counts) - counts
-        shortest = np.minimum.reduceat(columns.sizes, firsts) - 1
+        counts = np.diff(stocks.firsts)
+        shortest = np.minimum.reduceat(columns.sizes, stocks.firsts[:-1]) - 1
         # Exactly the stocks that score_and_report refuses are not scorable.
         scorable = (counts >= 4) & (shortest >= 2)
         valid = len(stocks) if scorable.all() else int(np.argmin(scorable))
         if valid:
-            periods = int(firsts[valid - 1] + counts[valid - 1])
-            cut = int(columns.sizes[:periods].sum())
-            prefix = _Columns(columns.closes[:cut], *(column[:periods] for column in columns[1:]))
-            reports = _score([data.stock_id for data in stocks[:valid]], prefix, counts[:valid], config)
+            periods = int(stocks.firsts[valid])
+            prefix = _Columns(
+                columns.closes[: stocks.offsets[periods]], *(column[:periods] for column in columns[1:])
+            )
+            reports = _score(stocks.stock_ids[:valid], prefix, counts[:valid], config)
         if valid < len(stocks):
             score_and_report(*split_holdout(stocks[valid]), config)
     # fsum is exact, so the totals do not depend on the interpreter's own float sum.
@@ -567,8 +624,8 @@ def load_config(path: str) -> PipelineConfig:
         return parse_config(handle.read())
 
 
-def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> list[StockDataset]:
-    """Load and validate the per-stock datasets from the two CSV files.
+def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> Portfolio:
+    """Load and validate the stocks of the two CSV files.
 
     Prices must be sorted by (stock_id, date) with strictly positive
     closes; periods are the calendar years appearing in the date column.
@@ -576,7 +633,7 @@ def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> list[Sto
     constant across its rows.
 
     Returns:
-        Datasets sorted by stock id.
+        The stocks in id order, as one Portfolio.
 
     Raises:
         ParseError: malformed rows, ordering violations, or missing CAPM
@@ -584,61 +641,78 @@ def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> list[Sto
         InsufficientDataError: a period with fewer than 2 observations.
     """
     prices = _read_prices(prices_path)
-    capm_rows = _read_capm(capm_path)
-    step_h = 1.0 / config.h_per_year
-    sizes = np.diff(prices.offsets).tolist()
-    datasets = []
-    first = 0
-    # Rows are sorted by (stock_id, date), so each stock's segments are adjacent.
-    for stock_id, segments in groupby(prices.stock_ids):
-        end = first + len(list(segments))
-        years = prices.years[first:end]
-        for previous, current in zip(years, years[1:]):
-            if current != previous + 1:
-                raise ParseError(
-                    f"{prices_path}: stock {stock_id} skips from {previous} to {current}; "
-                    "periods must be consecutive calendar years"
-                )
-        for size, year in zip(sizes[first:end], years):
-            if size < 2:
-                raise InsufficientDataError(
-                    f"stock {stock_id}, year {year}: a period needs >= 2 observations, got {size}"
-                )
-        rates = [capm_rows.get((stock_id, year)) for year in years]
-        if None in rates:
-            year = years[rates.index(None)]
-            raise ParseError(f"{capm_path}: missing CAPM row for stock {stock_id}, year {year}")
-        betas, risk_free, market = zip(*rates)
-        if len(set(betas)) != 1:
-            raise ParseError(f"{capm_path}: stock {stock_id}: beta must be constant across years")
-        start = prices.offsets[first]
-        datasets.append(
-            StockDataset(
-                stock_id=stock_id,
-                years=tuple(years),
-                closes=prices.closes[start : prices.offsets[end]],
-                offsets=[offset - start for offset in prices.offsets[first : end + 1]],
-                step_h=step_h,
-                beta=betas[0],
-                risk_free=risk_free,
-                market_return_expectation=market,
+    capm = _read_capm(capm_path)
+    firsts = prices.firsts[:-1]
+    stock = np.repeat(np.arange(firsts.size), np.diff(prices.firsts))  # each period's stock
+    years = prices.years
+    gap = np.zeros(years.size, dtype=bool)
+    gap[1:] = (stock[1:] == stock[:-1]) & (years[1:] != years[:-1] + 1)
+    short = np.diff(prices.offsets) < 2
+    row = _capm_rows(prices, stock, capm)
+    missing = row < 0
+    # Row -1 picks the nan each column gains here, so a missing row fails the beta check too.
+    beta, risk_free, market = (
+        np.append(column, math.nan)[row] for column in (capm.beta, capm.risk_free, capm.market_return_expectation)
+    )
+    # Equal as == finds them, as a set of betas does: -0.0 and 0.0 are one beta.
+    drifts = ~(np.minimum.reduceat(beta, firsts) == np.maximum.reduceat(beta, firsts))
+    failed = np.logical_or.reduceat(gap | short | missing, firsts) | drifts
+    if failed.any():
+        # The first failing stock in file order raises its first fault in the order gap, size, CAPM row, beta.
+        s = int(np.argmax(failed))
+        stock_id, first, end = prices.stock_ids[s], *prices.firsts[s : s + 2].tolist()
+        if gap[first:end].any():
+            k = first + int(np.argmax(gap[first:end]))
+            raise ParseError(
+                f"{prices_path}: stock {stock_id} skips from {years[k - 1]} to {years[k]}; "
+                "periods must be consecutive calendar years"
             )
-        )
-        first = end
-    return datasets
+        if short[first:end].any():
+            k = first + int(np.argmax(short[first:end]))
+            size = prices.offsets[k + 1] - prices.offsets[k]
+            raise InsufficientDataError(
+                f"stock {stock_id}, year {years[k]}: a period needs >= 2 observations, got {size}"
+            )
+        if missing[first:end].any():
+            k = first + int(np.argmax(missing[first:end]))
+            raise ParseError(f"{capm_path}: missing CAPM row for stock {stock_id}, year {years[k]}")
+        raise ParseError(f"{capm_path}: stock {stock_id}: beta must be constant across years")
+    return Portfolio(*prices, np.full(firsts.size, 1.0 / config.h_per_year), beta[firsts], risk_free, market)
+
+
+# Every date's year lies in 1..9999, so (stock, year) keys are stock * _YEARS + year.
+_YEARS = 10_000
+
+
+def _capm_rows(prices: _Prices, stock: np.ndarray, capm: _Capm) -> np.ndarray:
+    """Each period's row in ``capm``, or -1 where it has none; ``stock``
+    holds each period's stock."""
+    codes = {stock_id: code for code, stock_id in enumerate(prices.stock_ids)}
+    runs = np.fromiter((codes.get(stock_id, -1) for stock_id in capm.stock_ids), np.int64, len(capm.stock_ids))
+    code = np.repeat(runs, np.diff(capm.starts))
+    rows = np.flatnonzero((code >= 0) & (capm.years > 0) & (capm.years < _YEARS))
+    keys = code[rows] * _YEARS + capm.years[rows]
+    order = np.argsort(keys)
+    # A last key above every period's, so that each search lands on a row.
+    keys = np.append(keys[order], len(prices.stock_ids) * _YEARS)
+    wanted = stock * _YEARS + prices.years
+    at = np.searchsorted(keys, wanted)
+    return np.where(keys[at] == wanted, np.append(rows[order], -1)[at], -1)
 
 
 class _Prices(NamedTuple):
     """A prices file as columns: every close in file order, cut into (stock, year) segments.
 
-    Segment k is ``closes[offsets[k]:offsets[k + 1]]``, the closes of
-    stock ``stock_ids[k]`` in calendar year ``years[k]``.
+    Segment k is ``closes[offsets[k]:offsets[k + 1]]``, closes of calendar
+    year ``years[k]``. Stock s, ``stock_ids[s]``, holds segments
+    ``firsts[s]:firsts[s + 1]``.
     """
 
     closes: np.ndarray
+    offsets: np.ndarray
+    years: np.ndarray
     stock_ids: list[str]
-    years: list[int]
-    offsets: list[int]
+    firsts: np.ndarray
 
 
 # A prices row as numpy's tokenizer stores it: the id and date cells as
@@ -684,28 +758,29 @@ def _price_columns(table: np.ndarray) -> _Prices | None:
     same_stock = (row_words[1:, 0] == row_words[:-1, 0]) & (row_words[1:, 1] == row_words[:-1, 1])
     if not (~same_stock | (days[1:] > days[:-1])).all():
         return None
+    new_stock = np.concatenate(([True], ~same_stock))
     # A new segment starts where the stock or the year's four digits (bytes 16-19) change.
     year_digits = table.view(np.uint32)[4 :: _PRICE_DTYPE.itemsize // 4]
-    starts = np.flatnonzero(~same_stock | (year_digits[1:] != year_digits[:-1])) + 1
-    starts = np.concatenate(([0], starts))
-    stock_ids = [cell.decode() for cell in table["stock_id"][starts].tolist()]
+    starts = np.flatnonzero(new_stock | np.concatenate(([True], year_digits[1:] != year_digits[:-1])))
+    stock_ids = [cell.decode() for cell in table["stock_id"][new_stock].tolist()]
     # The row loop strips each id; one as long as the field may have been cut.
     width = _PRICE_DTYPE["stock_id"].itemsize
-    heads = [stock_id for stock_id, _ in groupby(stock_ids)]
-    if not all(stock_id and stock_id == stock_id.strip() and len(stock_id) < width for stock_id in heads):
+    if not all(stock_id and stock_id == stock_id.strip() and len(stock_id) < width for stock_id in stock_ids):
         return None
-    if not all(previous < current for previous, current in zip(heads, heads[1:])):
+    if not all(previous < current for previous, current in zip(stock_ids, stock_ids[1:])):
         return None
-    years = (days[starts].astype("datetime64[Y]").astype(np.int64) + 1970).tolist()
-    return _Prices(closes.copy(), stock_ids, years, [*starts.tolist(), table.size])
+    years = days[starts].astype("datetime64[Y]").astype(np.int64) + 1970
+    firsts = np.flatnonzero(new_stock[starts])
+    return _Prices(closes.copy(), np.append(starts, table.size), years, stock_ids, np.append(firsts, starts.size))
 
 
 def _read_price_rows(path: str) -> _Prices:
     """The prices file read row by row; the reference for the column-wise reader."""
     closes: list[float] = []
-    stock_ids: list[str] = []
     years: list[int] = []
     starts: list[int] = []
+    stock_ids: list[str] = []
+    firsts: list[int] = []
     previous_key: tuple[str, datetime.date] | None = None
     for lineno, cells in read_rows(path, PRICES_HEADER):
         stock_id = cells[0].strip()
@@ -726,13 +801,18 @@ def _read_price_rows(path: str) -> _Prices:
             raise ParseError(
                 f"{path}: line {lineno}: rows must be strictly sorted by (stock_id, date)"
             )
-        if previous_key is None or stock_id != previous_key[0] or date.year != previous_key[1].year:
+        if previous_key is None or stock_id != previous_key[0]:
             stock_ids.append(stock_id)
+            firsts.append(len(years))
+        if previous_key is None or stock_id != previous_key[0] or date.year != previous_key[1].year:
             years.append(date.year)
             starts.append(len(closes))
         previous_key = key
         closes.append(close)
-    return _Prices(np.array(closes, dtype=float), stock_ids, years, [*starts, len(closes)])
+    return _Prices(
+        np.array(closes, dtype=float), np.array([*starts, len(closes)], dtype=np.intp),
+        np.array(years, dtype=np.int64), stock_ids, np.array([*firsts, len(years)], dtype=np.intp),
+    )
 
 
 # A CAPM row as numpy's tokenizer stores it: the id cell as NUL-padded bytes, then
@@ -743,36 +823,67 @@ _CAPM_DTYPE = np.dtype([
 ])
 
 
-def _read_capm(path: str) -> dict[tuple[str, int], tuple[float, float, float]]:
+class _Capm(NamedTuple):
+    """A CAPM file as columns, rows in file order: rows ``starts[k]:starts[k + 1]``
+    are rows of stock ``stock_ids[k]``."""
+
+    stock_ids: list[str]
+    starts: np.ndarray
+    years: np.ndarray
+    beta: np.ndarray
+    risk_free: np.ndarray
+    market_return_expectation: np.ndarray
+
+
+def _read_capm(path: str) -> _Capm:
     """The CAPM file column-wise, or row by row when it is not plain.
 
     Both ways give the same rows, or the row loop's error.
     """
     table = read_table(path, CAPM_HEADER, _CAPM_DTYPE)
-    rows = None if table is None else _capm_columns(table)
-    return _read_capm_rows(path) if rows is None else rows
+    capm = None if table is None else _capm_columns(table)
+    return _read_capm_rows(path) if capm is None else capm
 
 
-def _capm_columns(table: np.ndarray) -> dict[tuple[str, int], tuple[float, float, float]] | None:
-    """The rows of a parsed CAPM table, or None unless the row loop would
+def _capm_columns(table: np.ndarray) -> _Capm | None:
+    """The columns of a parsed CAPM table, or None unless the row loop would
     accept every row as it stands."""
     names = CAPM_HEADER.split(",")[2:]
     if not all(np.isfinite(table[name]).all() for name in names):
         return None
-    stock_ids = [cell.decode() for cell in table["stock_id"].tolist()]
+    cells = table["stock_id"]
+    starts = np.flatnonzero(np.concatenate(([True], cells[1:] != cells[:-1])))
+    stock_ids = [cell.decode() for cell in cells[starts].tolist()]
     # The row loop strips each id; one as long as the field may have been cut.
     width = _CAPM_DTYPE["stock_id"].itemsize
     if not all(stock_id == stock_id.strip() and len(stock_id) < width for stock_id in set(stock_ids)):
         return None
-    keys = zip(stock_ids, table["year"].tolist())
-    rows = dict(zip(keys, zip(*(table[name].tolist() for name in names))))
-    return rows if len(rows) == table.size else None  # a duplicate (id, year) goes to the row loop
+    # A duplicate (id, year) goes to the row loop, which names its line.
+    codes: dict[str, int] = {}
+    starts = np.append(starts, table.size)
+    code = np.repeat([codes.setdefault(stock_id, len(codes)) for stock_id in stock_ids], np.diff(starts))
+    order = np.lexsort((table["year"], code))
+    code, year = code[order], table["year"][order]
+    if ((code[1:] == code[:-1]) & (year[1:] == year[:-1])).any():
+        return None
+    return _Capm(stock_ids, starts, table["year"], *(table[name] for name in names))
 
 
-def _read_capm_rows(path: str) -> dict[tuple[str, int], tuple[float, float, float]]:
-    """The CAPM file read row by row; the reference for the column-wise reader."""
+_INT64 = np.iinfo(np.int64)
+
+
+def _read_capm_rows(path: str) -> _Capm:
+    """The CAPM file read row by row, each row a run of its own; the
+    reference for the column-wise reader.
+
+    A row whose year an int64 cannot hold is checked, then left out: no
+    date has such a year, and the column-wise reader refuses the file.
+    """
     names = CAPM_HEADER.split(",")
-    rows: dict[tuple[str, int], tuple[float, float, float]] = {}
+    stock_ids: list[str] = []
+    years: list[int] = []
+    rates: list[tuple[float, float, float]] = []
+    seen: set[tuple[str, int]] = set()
     for lineno, cells in read_rows(path, CAPM_HEADER):
         stock_id = cells[0].strip()
         try:
@@ -780,11 +891,15 @@ def _read_capm_rows(path: str) -> dict[tuple[str, int], tuple[float, float, floa
         except ValueError:
             raise invalid(path, lineno, cells, 1, "year") from None
         values = tuple(finite(path, lineno, cells, k, names[k]) for k in (2, 3, 4))
-        key = (stock_id, year)
-        if key in rows:
+        if (stock_id, year) in seen:
             raise ParseError(f"{path}: line {lineno}: duplicate row for {stock_id}/{year}")
-        rows[key] = values
-    return rows
+        seen.add((stock_id, year))
+        if _INT64.min <= year <= _INT64.max:
+            stock_ids.append(stock_id)
+            years.append(year)
+            rates.append(values)
+    columns = np.array(rates, dtype=float).reshape(len(rates), 3).T
+    return _Capm(stock_ids, np.arange(len(years) + 1), np.array(years, dtype=np.int64), *columns)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from oracles import conditional_nu_quadrature
+from oracles import conditional_nu_quadrature, monte_carlo_conditional
 from test_diagnostics import AR1_FIXTURE, AR1_Q_ORACLE
 
 from driftbias import (
@@ -47,7 +47,6 @@ from driftbias import (
     estimate_unconditional,
     ljung_box,
     log_returns,
-    monte_carlo_conditional,
     score_records,
     simple_adjust,
     simulate_gbm,

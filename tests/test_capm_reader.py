@@ -98,13 +98,20 @@ def capm_files(draw):
     return (newline.join(lines) + newline).encode(encoding, errors="replace")
 
 
+def rows(capm):
+    """The ((stock_id, year), (beta, risk_free, market_return_expectation)) rows of CAPM columns."""
+    ids = [stock_id for stock_id, count in zip(capm.stock_ids, np.diff(capm.starts).tolist()) for _ in range(count)]
+    values = zip(capm.beta.tolist(), capm.risk_free.tolist(), capm.market_return_expectation.tolist())
+    return list(zip(zip(ids, capm.years.tolist()), values))
+
+
 def outcome(read, path):
     """The rows ``read`` returns, values as repr, or the type and text of its error."""
     try:
-        rows = read(path)
+        capm = read(path)
     except (ParseError, ValueError) as exc:
         return type(exc), str(exc)
-    return sorted((key, tuple(map(repr, values))) for key, values in rows.items())
+    return sorted((key, tuple(map(repr, values))) for key, values in rows(capm))
 
 
 @settings(max_examples=300, deadline=None)
@@ -134,7 +141,7 @@ def test_plain_files_are_read_column_wise(tmp_path):
     )
     assert column_wise(path)
     assert outcome(pipeline._read_capm, str(path)) == outcome(pipeline._read_capm_rows, str(path))
-    assert pipeline._read_capm(str(path))[("A B", 2012)] == (1.0, 0.5, -2.0)
+    assert dict(rows(pipeline._read_capm(str(path))))[("A B", 2012)] == (1.0, 0.5, -2.0)
 
 
 def capm_file(tmp_path, row):

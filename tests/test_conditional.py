@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import conditional_nu_quadrature
+from oracles import conditional_nu_quadrature, monte_carlo_conditional
 
 from driftbias import conditional as ce
 from driftbias.errors import DegenerateConditionError
@@ -206,11 +206,11 @@ def test_far_tail_expectation_tracks_threshold():
 
 def test_monte_carlo_validates_paths():
     with pytest.raises(ValueError):
-        ce.monte_carlo_conditional(q(), paths=999, seed=1)
+        monte_carlo_conditional(q(), paths=999, seed=1)
 
 
 def test_monte_carlo_matches_closed_form():
-    estimate = ce.monte_carlo_conditional(q(), paths=1_000_000, seed=7)
+    estimate = monte_carlo_conditional(q(), paths=1_000_000, seed=7)
     assert abs(estimate.mean - CENTERED_EXPECTATION) <= 3.0 * estimate.std_error
     frac = estimate.retained / 1_000_000
     binom_se = math.sqrt(0.5 * 0.5 / 1_000_000)
@@ -218,14 +218,14 @@ def test_monte_carlo_matches_closed_form():
 
 
 def test_monte_carlo_vacuous_retains_everything():
-    estimate = ce.monte_carlo_conditional(q(nu=0.1, C=-50.0), paths=10_000, seed=3)
+    estimate = monte_carlo_conditional(q(nu=0.1, C=-50.0), paths=10_000, seed=3)
     assert estimate.retained == 10_000
     assert abs(estimate.mean - 0.1) <= 3.0 * estimate.std_error
 
 
 def test_monte_carlo_degenerate_raises():
     with pytest.raises(DegenerateConditionError):
-        ce.monte_carlo_conditional(q(nu=0.0, sigma=0.1, T=1.0, C=5.0), paths=1000, seed=1)
+        monte_carlo_conditional(q(nu=0.0, sigma=0.1, T=1.0, C=5.0), paths=1000, seed=1)
 
 
 def test_quadrature_agrees_on_spot_cells():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import substream
+
 from driftbias import conditional as ce
 from driftbias import gbm, pipeline
 from driftbias.errors import InsufficientDataError, ParseError
@@ -202,7 +204,7 @@ def test_invested_fraction_matches_normal_quantile():
     total = 0
     for seed in range(500):
         paths = tuple(
-            gbm.simulate_gbm(params, 100.0, 1.0, 16, gbm.substream(777, 6 * seed + i))
+            gbm.simulate_gbm(params, 100.0, 1.0, 16, substream(777, 6 * seed + i))
             for i in range(6)
         )
         data = dataset_from_paths(paths, "mc")

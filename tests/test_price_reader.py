@@ -100,12 +100,15 @@ def price_files(draw):
 
 
 def outcome(read, path):
-    """The columns ``read`` returns, closes as raw bytes, or the type and text of its error."""
+    """The columns ``read`` returns, closes as raw bytes and one id per segment, or the type
+    and text of its error."""
     try:
         prices = read(path)
     except (ParseError, ValueError) as exc:
         return type(exc), str(exc)
-    return prices.closes.dtype, prices.closes.tobytes(), prices.stock_ids, prices.years, prices.offsets
+    counts = np.diff(prices.firsts).tolist()
+    stock_ids = [stock_id for stock_id, count in zip(prices.stock_ids, counts) for _ in range(count)]
+    return prices.closes.dtype, prices.closes.tobytes(), stock_ids, prices.years.tolist(), prices.offsets.tolist()
 
 
 @settings(max_examples=300, deadline=None)
