@@ -205,7 +205,8 @@ def _portfolio(stocks: Sequence[StockDataset]) -> Portfolio:
     return Portfolio(
         closes=np.concatenate([np.zeros(0), *(data.closes for data in stocks)]),
         offsets=np.cumsum([0, *chain.from_iterable(np.diff(data.offsets).tolist() for data in stocks)]),
-        years=np.fromiter(chain.from_iterable(data.years for data in stocks), np.int64),
+        # As objects, years stay exact ints however large.
+        years=np.array([*chain.from_iterable(data.years for data in stocks)], dtype=object),
         stock_ids=[data.stock_id for data in stocks],
         firsts=np.cumsum([0, *(data.n_periods for data in stocks)]),
         step_h=np.array([data.step_h for data in stocks], dtype=float),
@@ -654,7 +655,7 @@ def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> Portfoli
     beta, risk_free, market = (
         np.append(column, math.nan)[row] for column in (capm.beta, capm.risk_free, capm.market_return_expectation)
     )
-    # Equal as == finds them, as a set of betas does: -0.0 and 0.0 are one beta.
+    # Betas compare with ==, so -0.0 and 0.0 are one beta.
     drifts = ~(np.minimum.reduceat(beta, firsts) == np.maximum.reduceat(beta, firsts))
     failed = np.logical_or.reduceat(gap | short | missing, firsts) | drifts
     if failed.any():
@@ -869,9 +870,6 @@ def _capm_columns(table: np.ndarray) -> _Capm | None:
     return _Capm(stock_ids, starts, table["year"], *(table[name] for name in names))
 
 
-_INT64 = np.iinfo(np.int64)
-
-
 def _read_capm_rows(path: str) -> _Capm:
     """The CAPM file read row by row, each row a run of its own; the
     reference for the column-wise reader.
@@ -894,7 +892,7 @@ def _read_capm_rows(path: str) -> _Capm:
         if (stock_id, year) in seen:
             raise ParseError(f"{path}: line {lineno}: duplicate row for {stock_id}/{year}")
         seen.add((stock_id, year))
-        if _INT64.min <= year <= _INT64.max:
+        if -(2**63) <= year < 2**63:
             stock_ids.append(stock_id)
             years.append(year)
             rates.append(values)

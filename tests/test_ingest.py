@@ -163,3 +163,10 @@ def test_empty_prices_give_an_empty_portfolio(tmp_path):
     portfolio = pipeline.ingest(str(prices), str(FIXTURES / "capm.csv"), pipeline.PipelineConfig())
     assert len(portfolio) == 0 and list(portfolio) == []
     assert pipeline.score_portfolio(portfolio) == pipeline.score_portfolio([]) == ([], (0.0, 0.0, 0.0))
+
+
+def test_a_list_of_stocks_keeps_years_an_int64_cannot_hold():
+    years = (2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1)
+    data = pipeline.StockDataset("A", years, np.arange(1.0, 13.0), [0, 3, 6, 9, 12], 1.0, 1.0, (0.0,) * 4, (0.0,) * 4)
+    assert stock_fields(pipeline._portfolio([data])[0]) == stock_fields(data)
+    assert len(pipeline.score_portfolio([data])[0]) == 1
