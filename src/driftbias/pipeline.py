@@ -366,7 +366,7 @@ def _reports(
     firsts = ends - counts
     finite = np.logical_and.reduceat(np.isfinite(bias), firsts)
     smoothed = np.zeros(len(counts))
-    for count in np.unique(counts).tolist():
+    for count in sorted(set(counts.tolist())):
         group = np.flatnonzero((counts == count) & finite)
         rows = bias[firsts[group, None] + np.arange(count)]
         alpha = _FIT_GRID[_fit_alphas(rows, _FIT_GRID)[0]] if config.fit_alpha else config.alpha
@@ -719,10 +719,19 @@ class _Prices(NamedTuple):
 # A prices row as numpy's tokenizer stores it: the id and date cells as
 # NUL-padded bytes, 16 each so that every field starts on an 8-byte word.
 _PRICE_DTYPE = np.dtype([("stock_id", "S16"), ("date", "S16"), ("close", "f8")])
-# Bytes 16-31 of a row hold the date cell; each must lie in [low, low + span]:
-# ten characters "dddd-dd-dd", then NUL padding.
-_DATE_LOW = np.frombuffer(b"0000-00-00" + bytes(6), np.uint8)
-_DATE_SPAN = np.frombuffer(bytes([9, 9, 9, 9, 0, 9, 9, 0, 9, 9]) + bytes(6), np.uint8)
+# Bytes 16-31 of a row hold the date cell as two big-endian words, "dddd-dd-"
+# and "dd" with six NULs of padding. XOR with these leaves each digit's value
+# in its byte and zero in every other byte.
+_DATE_ZEROS = (int.from_bytes(b"0000-00-", "big"), int.from_bytes(b"00" + bytes(6), "big"))
+# A word x so XORed has the right shape exactly when no byte of x | (x + K) has
+# its top bit set: K is 0x76 at a digit, which lets 0-9 through, and 0x7F at
+# the other bytes, which lets only 0 through. No byte below 0x80 carries.
+_DATE_ADDS = (0x767676767F76767F, 0x76767F7F7F7F7F7F)
+_TOP_BITS = 0x8080808080808080
+# The bit offsets of the digits of an XORed date key Y Y Y Y 0 M M (D1 << 4 | D2).
+_YEAR_DIGITS, _MONTH_DIGITS, _DAY_DIGITS = (56, 48, 40, 32), (16, 8), (4, 0)
+# The last day of each month, February's in a leap year.
+_MONTH_DAYS = np.array([0, 31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], np.uint64)
 # The same shape for the row loop: from Python 3.11 on date.fromisoformat
 # also takes "20110103", "2011-W01-1" and more.
 _DATE_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -741,28 +750,43 @@ def _read_prices(path: str) -> _Prices:
 def _price_columns(table: np.ndarray) -> _Prices | None:
     """The columns of a parsed prices table, or None unless the row loop
     would accept every row as it stands."""
-    closes = table["close"]
-    if not ((closes > 0).all() and np.isfinite(closes).all()):
+    closes = table["close"].copy()
+    if not (closes.min() > 0 and closes.max() < np.inf):  # a nan fails both
         return None
-    # numpy's date parser also takes "2011", "+2011-01-01", "NaT" and more.
-    row_bytes = table.view(np.uint8).reshape(table.size, _PRICE_DTYPE.itemsize)
-    if ((row_bytes[:, 16:32] - _DATE_LOW) > _DATE_SPAN).any():
-        return None
-    try:
-        days = table["date"].astype("datetime64[D]")
-    except ValueError:  # a day that does not exist, such as 2011-02-30
-        return None
-    if days.min() < np.datetime64("0001-01-01"):
-        return None
-    # The id cell fills the first two 8-byte words of a row.
-    row_words = table.view(np.uint64).reshape(table.size, _PRICE_DTYPE.itemsize // 8)
-    same_stock = (row_words[1:, 0] == row_words[:-1, 0]) & (row_words[1:, 1] == row_words[:-1, 1])
-    if not (~same_stock | (days[1:] > days[:-1])).all():
+    # Big-endian words hold a row's bytes in text order on any host. The id
+    # cell fills words 0 and 1, the date cell words 2 and 3.
+    words = table.view(">u8").reshape(table.size, _PRICE_DTYPE.itemsize // 8)
+    key, day = words[:, 2] ^ _DATE_ZEROS[0], words[:, 3] ^ _DATE_ZEROS[1]
+    scratch = np.empty_like(key)
+    for word, add in zip((key, day), _DATE_ADDS):
+        np.bitwise_or(np.add(word, add, out=scratch), word, out=scratch)
+        if np.count_nonzero(np.bitwise_and(scratch, _TOP_BITS, out=scratch)):
+            return None
+    # The key Y Y Y Y 0 M M (D1 << 4 | D2) orders the dates as the text does.
+    np.right_shift(day, 52, out=scratch)
+    np.bitwise_and(np.bitwise_or(np.right_shift(day, 48, out=day), scratch, out=day), 0xFF, out=day)
+    np.bitwise_or(key, day, out=key)
+    same_stock = (words[1:, 0] == words[:-1, 0]) & (words[1:, 1] == words[:-1, 1])
+    if np.count_nonzero(same_stock & (key[1:] <= key[:-1])):
         return None
     new_stock = np.concatenate(([True], ~same_stock))
-    # A new segment starts where the stock or the year's four digits (bytes 16-19) change.
-    year_digits = table.view(np.uint32)[4 :: _PRICE_DTYPE.itemsize // 4]
-    starts = np.flatnonzero(new_stock | np.concatenate(([True], year_digits[1:] != year_digits[:-1])))
+    # A new segment starts where the stock or the year's four digits change.
+    np.right_shift(key, 32, out=scratch)
+    starts = np.flatnonzero(new_stock | np.concatenate(([True], scratch[1:] != scratch[:-1])))
+    offsets = np.append(starts, table.size)
+    years = _decimal(key[starts], _YEAR_DIGITS).astype(np.int64)
+    # Months only rise within a segment, so its first and last rows bound them.
+    if not (years.all() and _decimal(key[starts], _MONTH_DIGITS).min() >= 1
+            and _decimal(key[offsets[1:] - 1], _MONTH_DIGITS).max() <= 12):
+        return None
+    # Only days 00 and 29-39 can be past their month's end; day 00 wraps round.
+    late = key[np.flatnonzero(np.subtract(day, 1, out=day) >= 0x28)]
+    month, month_day = _decimal(late, _MONTH_DIGITS), _decimal(late, _DAY_DIGITS)
+    if not ((month_day >= 1) & (month_day <= _MONTH_DAYS[month])).all():
+        return None
+    leap = _decimal(late[(month == 2) & (month_day == 29)], _YEAR_DIGITS)
+    if not ((leap % 4 == 0) & ((leap % 100 != 0) | (leap % 400 == 0))).all():
+        return None
     stock_ids = [cell.decode() for cell in table["stock_id"][new_stock].tolist()]
     # The row loop strips each id; one as long as the field may have been cut.
     width = _PRICE_DTYPE["stock_id"].itemsize
@@ -770,9 +794,17 @@ def _price_columns(table: np.ndarray) -> _Prices | None:
         return None
     if not all(previous < current for previous, current in zip(stock_ids, stock_ids[1:])):
         return None
-    years = days[starts].astype("datetime64[Y]").astype(np.int64) + 1970
     firsts = np.flatnonzero(new_stock[starts])
-    return _Prices(closes.copy(), np.append(starts, table.size), years, stock_ids, np.append(firsts, starts.size))
+    return _Prices(closes, offsets, years, stock_ids, np.append(firsts, starts.size))
+
+
+def _decimal(keys: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
+    """The number whose decimal digits sit in the low four bits above each
+    shift of the date keys, most significant first."""
+    value = np.zeros_like(keys)
+    for shift in shifts:
+        value = value * 10 + (keys >> shift & 0xF)
+    return value
 
 
 def _read_price_rows(path: str) -> _Prices:

@@ -376,19 +376,49 @@ def test_simulate_rejects_prices_past_the_float_range(capsys, mu):
     assert err == f"error: the simulated prices leave the float range: mu = {float(mu)}, T = 1.0, a0 = 100.0\n"
 
 
+def run_process(*args):
+    """Run Python on ``args`` with the package's sources first on the path."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}
+    )
+
+
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency: scipy is for the tests, and
     # loading any of it would slow every cold start.
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
     code = "import sys, driftbias.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    result = run_process("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+FIXTURE_PIPELINE = [
+    "pipeline", "--prices", str(FIXTURES / "prices.csv"), "--capm", str(FIXTURES / "capm.csv"),
+    "--config", str(FIXTURES / "pipeline.cfg"),
+]
+
+
+def test_pipeline_run_loads_no_numpy_ma():
+    # np.unique imports numpy.ma, which would add about 15 ms to every cold run.
+    code = "import sys; from driftbias import cli; print(cli.run(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+    result = run_process("-c", code, *FIXTURE_PIPELINE)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
+
+
+def test_pipeline_rejects_a_day_past_its_month_end_in_a_long_file(tmp_path):
+    # numpy 2.4 crashes when it casts 511 or more date cells to datetime64[D]
+    # and one of them is a day that does not exist.
+    lines = (FIXTURES / "prices.csv").read_text().splitlines()
+    at = next(k for k, line in enumerate(lines) if "-02-28," in line)
+    assert at > 512 and lines[at].split(",")[1] == "2011-02-28"
+    prices = tmp_path / "prices.csv"
+    prices.write_text("\n".join([*lines[:at], lines[at].replace("-02-28,", "-02-30,"), *lines[at + 1 :]]) + "\n")
+    result = run_process("-m", "driftbias", *FIXTURE_PIPELINE[:2], str(prices), *FIXTURE_PIPELINE[3:])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {prices}: line {at + 1}, column 2: invalid ISO date '2011-02-30'\n"
 
 
 def run_pipeline(capsys, prices=FIXTURES / "prices.csv", capm=FIXTURES / "capm.csv"):

@@ -10,6 +10,7 @@ are not exactly ``dddd-dd-dd``, stray control characters and bytes that
 are not UTF-8.
 """
 
+import datetime
 import pathlib
 import tempfile
 
@@ -30,6 +31,7 @@ CLOSE_TEXTS = st.one_of(
 BAD_DATES = st.sampled_from([
     "2011", "2011-01", "+2011-01-01", "NaT", "0000-01-01", "2011-01-01T00", "20110101",
     "2011-02-30", "2011-13-01", "2011-1-01", "2011-01-1", "2011/01/01", "", "２０１１-01-01",
+    "2011-00-01", "2011-01-00", "2011-01-32", "2011-04-31", "2011-02-29", "1900-02-29", ":011-01-01",
 ])
 BAD_CLOSES = st.sampled_from([
     "nan", "inf", "-inf", "1e400", "0", "-0.0", "-1.5", "1_0", "１", "0x10", "1,5", "", "abc", "1.5\x0c2",
@@ -194,3 +196,51 @@ def test_row_loop_takes_only_dashed_dates(tmp_path, date):
     with pytest.raises(ParseError) as error:
         pipeline._read_prices(str(path))
     assert str(error.value) == f"{path}: line 3, column 2: invalid ISO date '{date}'"
+
+
+def row_loop_year(cell):
+    """The year the row loop reads from a date cell, or None where it rejects the cell."""
+    text = cell.rstrip(b"\0").decode("latin-1")
+    if not pipeline._DATE_SHAPE.fullmatch(text):
+        return None
+    try:
+        return datetime.date.fromisoformat(text).year
+    except ValueError:
+        return None
+
+
+def date_cells():
+    """Every day 00-32 of months 00-13 in a few years, then each byte value at each
+    byte of the cell of 2012-02-29."""
+    for year in ("0000", "0001", "1900", "2000", "2011", "2012", "9999"):
+        for month in range(14):
+            for day in range(33):
+                yield f"{year}-{month:02}-{day:02}".encode().ljust(16, b"\0")
+    leap_day = b"2012-02-29".ljust(16, b"\0")
+    for at in range(16):
+        for value in range(256):
+            yield leap_day[:at] + bytes([value]) + leap_day[at + 1 :]
+
+
+def test_date_cells_match_the_row_loop():
+    for cell in date_cells():
+        prices = pipeline._price_columns(np.array([(b"A", cell, 1.0)], dtype=pipeline._PRICE_DTYPE))
+        assert (None if prices is None else prices.years.tolist()) == (
+            None if row_loop_year(cell) is None else [row_loop_year(cell)]
+        ), cell
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("2011-01-05", "2011-01-05"), ("2011-01-06", "2011-01-05"), ("2011-01-09", "2011-01-10"),
+        ("2011-01-10", "2011-01-09"), ("2011-01-31", "2011-02-01"), ("2011-02-01", "2011-01-31"),
+        ("2011-09-30", "2011-10-01"), ("2011-10-01", "2011-09-30"), ("2011-12-31", "2012-01-01"),
+        ("2012-01-01", "2011-12-31"), ("1999-12-31", "2000-01-01"), ("2000-01-01", "1999-12-31"),
+    ],
+)
+def test_two_dates_of_a_stock_must_rise(tmp_path, first, second):
+    path = tmp_path / "prices.csv"
+    path.write_text(f"stock_id,date,close\nA,{first},1.0\nA,{second},1.5\nB,{first},2.0\n")
+    assert column_wise(path) == (first < second)
+    assert outcome(pipeline._read_prices, str(path)) == outcome(pipeline._read_price_rows, str(path))
