@@ -775,7 +775,8 @@ def _price_columns(table: np.ndarray) -> _Prices | None:
     starts = np.flatnonzero(new_stock | np.concatenate(([True], scratch[1:] != scratch[:-1])))
     offsets = np.append(starts, table.size)
     years = _decimal(key[starts], _YEAR_DIGITS).astype(np.int64)
-    # Months only rise within a segment, so its first and last rows bound them.
+    # As keys rise within a stock, months rise within a segment: its first and
+    # last rows bound them.
     if not (years.all() and _decimal(key[starts], _MONTH_DIGITS).min() >= 1
             and _decimal(key[offsets[1:] - 1], _MONTH_DIGITS).max() <= 12):
         return None
@@ -784,8 +785,8 @@ def _price_columns(table: np.ndarray) -> _Prices | None:
     month, month_day = _decimal(late, _MONTH_DIGITS), _decimal(late, _DAY_DIGITS)
     if not ((month_day >= 1) & (month_day <= _MONTH_DAYS[month])).all():
         return None
-    leap = _decimal(late[(month == 2) & (month_day == 29)], _YEAR_DIGITS)
-    if not ((leap % 4 == 0) & ((leap % 100 != 0) | (leap % 400 == 0))).all():
+    leap_years = _decimal(late[(month == 2) & (month_day == 29)], _YEAR_DIGITS)
+    if not ((leap_years % 4 == 0) & ((leap_years % 100 != 0) | (leap_years % 400 == 0))).all():
         return None
     stock_ids = [cell.decode() for cell in table["stock_id"][new_stock].tolist()]
     # The row loop strips each id; one as long as the field may have been cut.
@@ -799,8 +800,8 @@ def _price_columns(table: np.ndarray) -> _Prices | None:
 
 
 def _decimal(keys: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
-    """The number whose decimal digits sit in the low four bits above each
-    shift of the date keys, most significant first."""
+    """The numbers whose decimal digits are the four bits at each shift of
+    ``keys``, most significant first."""
     value = np.zeros_like(keys)
     for shift in shifts:
         value = value * 10 + (keys >> shift & 0xF)

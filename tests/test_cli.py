@@ -393,29 +393,28 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-FIXTURE_PIPELINE = [
-    "pipeline", "--prices", str(FIXTURES / "prices.csv"), "--capm", str(FIXTURES / "capm.csv"),
-    "--config", str(FIXTURES / "pipeline.cfg"),
-]
+def pipeline_args(prices=FIXTURES / "prices.csv"):
+    return ["pipeline", "--prices", str(prices), "--capm", str(FIXTURES / "capm.csv"),
+            "--config", str(FIXTURES / "pipeline.cfg")]
 
 
 def test_pipeline_run_loads_no_numpy_ma():
-    # np.unique imports numpy.ma, which would add about 15 ms to every cold run.
+    # np.unique imports numpy.ma, which would slow every cold run.
     code = "import sys; from driftbias import cli; print(cli.run(sys.argv[1:]), 'numpy.ma' in sys.modules)"
-    result = run_process("-c", code, *FIXTURE_PIPELINE)
+    result = run_process("-c", code, *pipeline_args())
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "0 False"
 
 
 def test_pipeline_rejects_a_day_past_its_month_end_in_a_long_file(tmp_path):
-    # numpy 2.4 crashes when it casts 511 or more date cells to datetime64[D]
+    # numpy 2.4.6 crashes when it casts more than 500 date cells to datetime64[D]
     # and one of them is a day that does not exist.
     lines = (FIXTURES / "prices.csv").read_text().splitlines()
     at = next(k for k, line in enumerate(lines) if "-02-28," in line)
     assert at > 512 and lines[at].split(",")[1] == "2011-02-28"
     prices = tmp_path / "prices.csv"
     prices.write_text("\n".join([*lines[:at], lines[at].replace("-02-28,", "-02-30,"), *lines[at + 1 :]]) + "\n")
-    result = run_process("-m", "driftbias", *FIXTURE_PIPELINE[:2], str(prices), *FIXTURE_PIPELINE[3:])
+    result = run_process("-m", "driftbias", *pipeline_args(prices))
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == f"error: {prices}: line {at + 1}, column 2: invalid ISO date '2011-02-30'\n"
