@@ -225,9 +225,8 @@ def date_cells():
 def test_date_cells_match_the_row_loop():
     for cell in date_cells():
         prices = pipeline._price_columns(np.array([(b"A", cell, 1.0)], dtype=pipeline._PRICE_DTYPE))
-        assert (None if prices is None else prices.years.tolist()) == (
-            None if row_loop_year(cell) is None else [row_loop_year(cell)]
-        ), cell
+        year = row_loop_year(cell)
+        assert (None if prices is None else prices.years.tolist()) == (None if year is None else [year]), cell
 
 
 @pytest.mark.parametrize(
