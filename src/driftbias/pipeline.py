@@ -757,22 +757,22 @@ def _price_columns(table: np.ndarray) -> _Prices | None:
     # cell fills words 0 and 1, the date cell words 2 and 3.
     words = table.view(">u8").reshape(table.size, _PRICE_DTYPE.itemsize // 8)
     key, day = words[:, 2] ^ _DATE_ZEROS[0], words[:, 3] ^ _DATE_ZEROS[1]
-    scratch = np.empty_like(key)
+    buffer = np.empty_like(key)
     for word, add in zip((key, day), _DATE_ADDS):
-        np.bitwise_or(np.add(word, add, out=scratch), word, out=scratch)
-        if np.count_nonzero(np.bitwise_and(scratch, _TOP_BITS, out=scratch)):
+        np.bitwise_or(np.add(word, add, out=buffer), word, out=buffer)
+        if np.count_nonzero(np.bitwise_and(buffer, _TOP_BITS, out=buffer)):
             return None
     # The key Y Y Y Y 0 M M (D1 << 4 | D2) orders the dates as the text does.
-    np.right_shift(day, 52, out=scratch)
-    np.bitwise_and(np.bitwise_or(np.right_shift(day, 48, out=day), scratch, out=day), 0xFF, out=day)
+    np.right_shift(day, 52, out=buffer)
+    np.bitwise_and(np.bitwise_or(np.right_shift(day, 48, out=day), buffer, out=day), 0xFF, out=day)
     np.bitwise_or(key, day, out=key)
     same_stock = (words[1:, 0] == words[:-1, 0]) & (words[1:, 1] == words[:-1, 1])
     if np.count_nonzero(same_stock & (key[1:] <= key[:-1])):
         return None
     new_stock = np.concatenate(([True], ~same_stock))
     # A new segment starts where the stock or the year's four digits change.
-    np.right_shift(key, 32, out=scratch)
-    starts = np.flatnonzero(new_stock | np.concatenate(([True], scratch[1:] != scratch[:-1])))
+    np.right_shift(key, 32, out=buffer)
+    starts = np.flatnonzero(new_stock | np.concatenate(([True], buffer[1:] != buffer[:-1])))
     offsets = np.append(starts, table.size)
     years = _decimal(key[starts], _YEAR_DIGITS).astype(np.int64)
     # As keys rise within a stock, months rise within a segment: its first and
