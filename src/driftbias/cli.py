@@ -161,6 +161,8 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
         raise ValueError(f"--h-per-year must be positive, got {args.h_per_year}")
     path = gbm.read_price_csv(args.prices, step_h=1.0 / args.h_per_year)
     estimate = gbm.estimate_unconditional(gbm.log_returns(path))
+    if not (math.isfinite(estimate.nu_hat) and math.isfinite(estimate.sigma2_hat)):
+        raise ValueError(f"the estimates overflow; --h-per-year = {args.h_per_year:g} is far from a sampling rate")
     _emit(
         "nu_hat,sigma2_hat,n,T\n"
         f"{estimate.nu_hat!r},{estimate.sigma2_hat!r},{estimate.n},{estimate.T!r}\n",
@@ -201,8 +203,7 @@ def _cmd_limits(args: argparse.Namespace) -> None:
 def _cmd_smooth(args: argparse.Namespace) -> None:
     values = _read_value_column(args.input)
     alpha = smoothing.fit_alpha(values)[0] if args.fit else args.alpha
-    series = smoothing.smooth(values, smoothing.SmoothingConfig(alpha=alpha))
-    forecasts = series.forecasts.tolist()
+    forecasts = smoothing.smooth(values, smoothing.SmoothingConfig(alpha=alpha)).tolist()
     lines = ["value,forecast"]
     for value, forecast in zip(values, forecasts[:-1]):
         lines.append(f"{value!r},{forecast!r}")

@@ -24,6 +24,7 @@ import numpy as np
 
 from ._special import chi2_sf
 from .errors import DegenerateVarianceError
+from .smoothing import _finite_series
 
 __all__ = ["AcfResult", "LjungBoxResult", "acf_pacf", "ljung_box"]
 
@@ -33,12 +34,10 @@ SMALL_SAMPLE_WARNING_N = 30
 
 @dataclass(frozen=True)
 class AcfResult:
-    """ACF and PACF at lags 1..lags (lag 0 is identically 1, not stored)."""
+    """ACF and PACF at lags 1..max_lag (lag 0 is identically 1, not stored)."""
 
-    lags: int
     acf: np.ndarray
     pacf: np.ndarray
-    n: int
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,9 @@ def acf_pacf(series: Sequence[float], max_lag: int) -> AcfResult:
 
     Raises:
         DegenerateVarianceError: the series is constant.
-        ValueError: max_lag out of range.
+        ValueError: max_lag out of range, or a non-finite observation.
     """
-    y = np.asarray(series, dtype=float)
+    y = _finite_series(series)
     n = y.size
     if max_lag < 1:
         raise ValueError(f"max_lag must be at least 1, got {max_lag}")
@@ -75,7 +74,7 @@ def acf_pacf(series: Sequence[float], max_lag: int) -> AcfResult:
     acf = np.empty(max_lag)
     for k in range(1, max_lag + 1):
         acf[k - 1] = float(centered[k:] @ centered[:-k]) / denominator
-    return AcfResult(lags=max_lag, acf=acf, pacf=_durbin_levinson(acf), n=n)
+    return AcfResult(acf=acf, pacf=_durbin_levinson(acf))
 
 
 def _durbin_levinson(acf: np.ndarray) -> np.ndarray:
@@ -108,8 +107,11 @@ def ljung_box(series: Sequence[float], lags: int) -> LjungBoxResult:
         UserWarning: sample shorter than 30 points; the chi-square
             approximation is weak there but the statistic is still
             computed.
+
+    Raises:
+        ValueError: a non-finite observation, before any warning.
     """
-    y = np.asarray(series, dtype=float)
+    y = _finite_series(series)
     n = y.size
     if n < SMALL_SAMPLE_WARNING_N:
         warnings.warn(

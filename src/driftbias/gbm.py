@@ -57,17 +57,11 @@ class GbmParams:
         """Drift of the log price, mu - sigma**2 / 2."""
         return self.mu - 0.5 * self.sigma * self.sigma
 
-    @classmethod
-    def from_nu(cls, nu: float, sigma: float) -> "GbmParams":
-        """Build parameters from the log-price drift instead of mu."""
-        return cls(mu=nu + 0.5 * sigma * sigma, sigma=sigma)
-
 
 @dataclass(frozen=True)
 class PricePath:
-    """Uniformly sampled positive prices A_{t0}, A_{t0+h}, ..., A_{t0+n*h}."""
+    """Uniformly sampled positive prices A_0, A_h, ..., A_{n*h}."""
 
-    t0: float
     step_h: float
     prices: np.ndarray
 
@@ -83,15 +77,6 @@ class PricePath:
             raise ValueError("prices must be strictly positive")
         if not np.isfinite(prices).all():
             raise ValueError("prices must be finite")
-
-    @property
-    def n_steps(self) -> int:
-        return self.prices.size - 1
-
-    @property
-    def duration(self) -> float:
-        """Total covered time n * h in years."""
-        return self.n_steps * self.step_h
 
 
 @dataclass(frozen=True)
@@ -115,8 +100,12 @@ class ReturnSeries:
             raise ValueError(f"step_h must be positive, got {self.step_h}")
         if returns.ndim != 1 or returns.size < 1:
             raise ValueError("a return series needs at least one return")
+        if not np.isfinite(returns).all():
+            raise ValueError(f"returns must be finite, got {returns[~np.isfinite(returns)][0]}")
         if self.total is None:
             object.__setattr__(self, "total", float(returns.sum()))
+        elif not math.isfinite(self.total):
+            raise ValueError(f"total must be finite, got {self.total}")
 
     @property
     def n(self) -> int:
@@ -157,7 +146,7 @@ def simulate_gbm(params: GbmParams, a0: float, T: float, n: int, seed: int) -> P
         seed: Seed for the generator.
 
     Returns:
-        The simulated PricePath starting at t0 = 0.
+        The simulated PricePath.
     """
     _validate_grid(a0, T, n)
     rng = np.random.default_rng(seed)
@@ -184,7 +173,7 @@ def path_from_normals(params: GbmParams, a0: float, T: float, normals: np.ndarra
         raise ValueError(
             f"the simulated prices leave the float range: mu = {params.mu}, T = {T}, a0 = {a0}"
         )
-    return PricePath(t0=0.0, step_h=h, prices=prices)
+    return PricePath(step_h=h, prices=prices)
 
 
 def log_returns(path: PricePath) -> ReturnSeries:
@@ -268,8 +257,11 @@ def _estimate(
     steps -= np.repeat(mean, sizes)
     steps[starts] = 0.0
     np.multiply(steps, steps, out=steps)
-    sigma2_hat = np.add.reduceat(steps, starts) / (n - 1) / step_h
-    return totals / (n * step_h), sigma2_hat
+    # A tiny step can take a quotient past the float range. The pipeline and
+    # the estimate command report an inf estimate in words, so this is silent.
+    with np.errstate(over="ignore"):
+        sigma2_hat = np.add.reduceat(steps, starts) / (n - 1) / step_h
+        return totals / (n * step_h), sigma2_hat
 
 
 def write_price_csv(path: PricePath) -> str:
@@ -279,7 +271,7 @@ def write_price_csv(path: PricePath) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_price_csv(path: str, step_h: float, t0: float = 0.0) -> PricePath:
+def read_price_csv(path: str, step_h: float) -> PricePath:
     """Read a ``date_index,price`` CSV file into a PricePath.
 
     The CSV carries no time scale, so the step size is supplied by the
@@ -299,7 +291,7 @@ def read_price_csv(path: str, step_h: float, t0: float = 0.0) -> PricePath:
         prices.append(price)
     if len(prices) < 2:
         raise ParseError(f"{path}: a price CSV needs at least two rows")
-    return PricePath(t0=t0, step_h=step_h, prices=np.asarray(prices))
+    return PricePath(step_h=step_h, prices=np.asarray(prices))
 
 
 def _validate_grid(a0: float, T: float, n: int) -> None:

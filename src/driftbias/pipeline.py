@@ -41,7 +41,6 @@ from .smoothing import (
 __all__ = [
     "PipelineConfig",
     "StockDataset",
-    "Portfolio",
     "PeriodRecord",
     "ForecastReport",
     "capm_benchmark",
@@ -150,23 +149,21 @@ class StockDataset:
 
     @property
     def period_paths(self) -> tuple[PricePath, ...]:
-        """Each period as a PricePath that starts at t0 = its period index."""
+        """Each period as a PricePath."""
         bounds = self.offsets.tolist()
-        return tuple(
-            PricePath(t0=float(k), step_h=self.step_h, prices=self.closes[start:stop])
-            for k, (start, stop) in enumerate(zip(bounds, bounds[1:]))
-        )
+        return tuple(PricePath(self.step_h, self.closes[start:stop]) for start, stop in zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True, eq=False)
-class Portfolio(Sequence[StockDataset]):
+class _Portfolio(Sequence[StockDataset]):
     """Stocks as columns, as ``ingest`` returns them: in id order.
 
     Period k holds ``closes[offsets[k]:offsets[k + 1]]``, of year
     ``years[k]``, and its ``risk_free[k]`` and ``market_return_expectation[k]``.
     Stock s, ``stock_ids[s]``, holds periods ``firsts[s]:firsts[s + 1]``, a
     step of ``step_h[s]`` years and one ``beta[s]``. As a sequence it reads
-    as one StockDataset per stock, built on demand; a slice gives a list.
+    as one StockDataset per stock, built on demand. It checks nothing: only
+    ``ingest`` and ``_portfolio`` build one, from checked inputs.
     """
 
     closes: np.ndarray
@@ -182,10 +179,8 @@ class Portfolio(Sequence[StockDataset]):
     def __len__(self) -> int:
         return len(self.stock_ids)
 
-    def __getitem__(self, index: int | slice) -> StockDataset | list[StockDataset]:
-        s = range(len(self))[index]  # a list's negative indices, slices and IndexError
-        if isinstance(s, range):
-            return [self[k] for k in s]
+    def __getitem__(self, index: int) -> StockDataset:
+        s = range(len(self))[index]  # a list's negative indices and IndexError
         first, end = self.firsts[s : s + 2].tolist()
         offsets = self.offsets[first : end + 1]
         return StockDataset(
@@ -200,9 +195,9 @@ class Portfolio(Sequence[StockDataset]):
         )
 
 
-def _portfolio(stocks: Sequence[StockDataset]) -> Portfolio:
-    """``stocks``, in the order given, as one Portfolio."""
-    return Portfolio(
+def _portfolio(stocks: Sequence[StockDataset]) -> _Portfolio:
+    """``stocks``, in the order given, as one _Portfolio."""
+    return _Portfolio(
         closes=np.concatenate([np.zeros(0), *(data.closes for data in stocks)]),
         offsets=np.cumsum([0, *chain.from_iterable(np.diff(data.offsets).tolist() for data in stocks)]),
         # As objects, years stay exact ints however large.
@@ -285,7 +280,7 @@ class _Columns(NamedTuple):
     benchmark: np.ndarray
 
 
-def _columns(portfolio: Portfolio, config: PipelineConfig) -> _Columns:
+def _columns(portfolio: _Portfolio, config: PipelineConfig) -> _Columns:
     """Every period of ``portfolio`` as columns, stock after stock."""
     counts = np.diff(portfolio.firsts)
     if config.benchmark_mode == "constant":
@@ -461,11 +456,8 @@ def es_adjust(
     """
     if len(records) < 3:
         raise InsufficientDataError(f"ES adjustment needs >= 3 records, got {len(records)}")
-    smoothed = smooth([record.bias for record in records], config)
-    return [
-        record.nu_tilde - float(forecast)
-        for record, forecast in zip(records, smoothed.forecasts)
-    ]
+    forecasts = smooth([record.bias for record in records], config).tolist()
+    return [record.nu_tilde - forecast for record, forecast in zip(records, forecasts)]
 
 
 def next_raw_forecast(records: Sequence[PeriodRecord]) -> tuple[float, bool]:
@@ -524,7 +516,7 @@ def split_holdout(data: StockDataset) -> tuple[StockDataset, PricePath]:
         risk_free=data.risk_free[:-1],
         market_return_expectation=data.market_return_expectation[:-1],
     )
-    return sample, PricePath(t0=float(data.n_periods - 1), step_h=data.step_h, prices=data.closes[cut:])
+    return sample, PricePath(step_h=data.step_h, prices=data.closes[cut:])
 
 
 def score_portfolio(
@@ -534,15 +526,15 @@ def score_portfolio(
 
     All stocks are scored together, as columns. A stock that cannot be
     scored raises what ``score_and_report`` raises for it, after the
-    stocks before it in id order were scored. A Portfolio is scored as it
-    stands, in id order as ``ingest`` makes it; any other sequence is
-    sorted by id into one first.
+    stocks before it in id order were scored. What ``ingest`` returns is
+    scored as it stands, in id order; any other sequence is sorted by id
+    into one first.
 
     Returns:
         The per-stock reports ordered by stock id plus the totals
         (sd_raw, sd_simple, sd_es).
     """
-    if isinstance(datasets, Portfolio):
+    if isinstance(datasets, _Portfolio):
         stocks = datasets
     else:
         stocks = _portfolio(sorted(datasets, key=lambda item: item.stock_id))
@@ -625,7 +617,7 @@ def load_config(path: str) -> PipelineConfig:
         return parse_config(handle.read())
 
 
-def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> Portfolio:
+def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> _Portfolio:
     """Load and validate the stocks of the two CSV files.
 
     Prices must be sorted by (stock_id, date) with strictly positive
@@ -634,7 +626,8 @@ def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> Portfoli
     constant across its rows.
 
     Returns:
-        The stocks in id order, as one Portfolio.
+        The stocks in id order, as columns that read as a sequence of
+        StockDataset.
 
     Raises:
         ParseError: malformed rows, ordering violations, or missing CAPM
@@ -678,7 +671,7 @@ def ingest(prices_path: str, capm_path: str, config: PipelineConfig) -> Portfoli
             k = first + int(np.argmax(missing[first:end]))
             raise ParseError(f"{capm_path}: missing CAPM row for stock {stock_id}, year {years[k]}")
         raise ParseError(f"{capm_path}: stock {stock_id}: beta must be constant across years")
-    return Portfolio(*prices, np.full(firsts.size, 1.0 / config.h_per_year), beta[firsts], risk_free, market)
+    return _Portfolio(*prices, np.full(firsts.size, 1.0 / config.h_per_year), beta[firsts], risk_free, market)
 
 
 # Every date's year lies in 1..9999, so (stock, year) keys are stock * _YEARS + year.

@@ -4,8 +4,8 @@
 
 equivalently a weighted average of all past observations with
 exponentially decaying weights plus a residual weight on the initial
-forecast F_1. Only single smoothing is provided; trend and seasonal
-variants are out of scope.
+forecast F_1, which is the first observation. Only single smoothing is
+provided; trend and seasonal variants are out of scope.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "DEFAULT_ALPHA",
     "DEFAULT_FIT_GRID",
     "SmoothingConfig",
-    "SmoothedSeries",
     "smooth",
     "weight_expansion",
     "fit_alpha",
@@ -34,51 +33,25 @@ DEFAULT_FIT_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Smoothing factor and initial-forecast policy.
-
-    ``init_value`` of None seeds F_1 with the first observation (the
-    standard convention); a float seeds F_1 with that value.
-    """
+    """Smoothing factor; F_1 is always seeded with the first observation."""
 
     alpha: float = DEFAULT_ALPHA
-    init_value: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.init_value is not None and not math.isfinite(self.init_value):
-            raise ValueError(f"init_value must be finite, got {self.init_value}")
 
 
-@dataclass(frozen=True)
-class SmoothedSeries:
-    """Observations Y_1..Y_t plus forecasts F_1..F_{t+1} (one longer)."""
-
-    observations: np.ndarray
-    forecasts: np.ndarray
-    alpha: float
-
-    def __post_init__(self) -> None:
-        observations = np.array(self.observations, dtype=float)
-        forecasts = np.array(self.forecasts, dtype=float)
-        observations.flags.writeable = False
-        forecasts.flags.writeable = False
-        object.__setattr__(self, "observations", observations)
-        object.__setattr__(self, "forecasts", forecasts)
-        if forecasts.size != observations.size + 1:
-            raise ValueError("forecasts must have exactly one more element than observations")
-
-
-def smooth(observations: Sequence[float], config: SmoothingConfig = SmoothingConfig()) -> SmoothedSeries:
-    """Apply the recurrence left to right.
+def smooth(observations: Sequence[float], config: SmoothingConfig = SmoothingConfig()) -> np.ndarray:
+    """Apply the recurrence left to right from F_1 = Y_1.
 
     Args:
         observations: Series Y_1..Y_t, non-empty.
-        config: Smoothing factor and F_1 policy.
+        config: Smoothing factor.
 
     Returns:
-        SmoothedSeries whose last forecast is the one-step-ahead value
-        F_{t+1}.
+        The forecasts F_1..F_{t+1}, one more than the observations; the
+        last is the one-step-ahead value F_{t+1}.
 
     Raises:
         InsufficientDataError: empty input.
@@ -87,8 +60,7 @@ def smooth(observations: Sequence[float], config: SmoothingConfig = SmoothingCon
     y = _finite_series(observations)
     if y.size == 0:
         raise InsufficientDataError("cannot smooth an empty series")
-    first = y[0] if config.init_value is None else config.init_value
-    return SmoothedSeries(observations=y, forecasts=_forecasts(y, config.alpha, first), alpha=config.alpha)
+    return _forecasts(y, config.alpha, y[0])
 
 
 def _forecasts(y: np.ndarray, alpha: float | np.ndarray, first: float | np.ndarray) -> np.ndarray:

@@ -241,7 +241,7 @@ def test_smoothing_identities():
         config = SmoothingConfig(alpha=alpha)
         for length in (1, 2, 5, 17, 60):
             observations = rng.normal(0.0, 1.0, size=length)
-            forecasts = smooth(observations, config).forecasts
+            forecasts = smooth(observations, config)
             for t in range(1, length + 1):
                 weights = weight_expansion(config, t)
                 rebuilt = float(

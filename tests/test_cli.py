@@ -115,6 +115,16 @@ def test_estimate_rejects_zero_h_per_year(capsys, tmp_path):
     assert err == "error: --h-per-year must be positive, got 0.0\n"
 
 
+def test_estimate_rejects_estimates_past_the_float_range(capsys, tmp_path):
+    # At a step of 1e-305 years the variance of these returns overflows; it
+    # once printed inf, with a RuntimeWarning, and exited 0.
+    prices = tmp_path / "prices.csv"
+    prices.write_text("date_index,price\n0,1\n1,1e300\n2,1\n")
+    code, out, err = run_cli(capsys, "estimate", "--prices", str(prices), "--h-per-year", "1e305")
+    assert (code, out) == (2, "")
+    assert err == "error: the estimates overflow; --h-per-year = 1e+305 is far from a sampling rate\n"
+
+
 def test_estimate_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "estimate", "--prices", str(tmp_path / "nope.csv"))
     assert code == 2
@@ -156,7 +166,7 @@ def test_smooth_matches_library(capsys, tmp_path):
     lines = out.splitlines()
     assert lines[0] == "value,forecast"
     assert len(lines) == 7  # header, five paired rows, trailing forecast
-    forecasts = smooth(values, SmoothingConfig(alpha=0.2)).forecasts.tolist()
+    forecasts = smooth(values, SmoothingConfig(alpha=0.2)).tolist()
     for line, value, forecast in zip(lines[1:], values, forecasts):
         assert line == f"{value!r},{forecast!r}"
     assert lines[-1] == f",{forecasts[-1]!r}"
@@ -175,7 +185,7 @@ def test_smooth_defaults_to_the_default_alpha(capsys, tmp_path):
     code, out, err = run_cli(capsys, "smooth", "--input", write_values(tmp_path, values))
     assert code == 0
     assert err == "alpha=0.2\n"
-    forecasts = smooth(values, SmoothingConfig()).forecasts.tolist()
+    forecasts = smooth(values, SmoothingConfig()).tolist()
     rows = [f"{value!r},{forecast!r}" for value, forecast in zip(values, forecasts)]
     assert out.splitlines() == ["value,forecast", *rows, f",{forecasts[-1]!r}"]
 
@@ -418,6 +428,23 @@ def test_pipeline_rejects_a_day_past_its_month_end_in_a_long_file(tmp_path):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == f"error: {prices}: line {at + 1}, column 2: invalid ISO date '2011-02-30'\n"
+
+
+def test_pipeline_overflowing_estimate_prints_only_its_error(tmp_path):
+    # A huge close at a tiny step takes nu_hat past the float range. A
+    # RuntimeWarning from the division once came before the error line.
+    lines = (FIXTURES / "prices.csv").read_text().splitlines()
+    assert lines[2533].startswith("100001,2019-01-03,")
+    lines[2533] = "100001,2019-01-03,1e300"
+    prices = tmp_path / "prices.csv"
+    prices.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "pipeline.cfg"
+    config.write_text(f"h_per_year = {10**307}\n")
+    result = run_process("-m", "driftbias", "pipeline", "--prices", str(prices), "--capm",
+                         str(FIXTURES / "capm.csv"), "--config", str(config))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == ("error: stock 100001: a squared forecast deviation overflows; "
+                             "h_per_year = 1e+307 is far from a sampling rate\n")
 
 
 def run_pipeline(capsys, prices=FIXTURES / "prices.csv", capm=FIXTURES / "capm.csv"):

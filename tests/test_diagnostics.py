@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -83,6 +85,18 @@ def test_argument_validation():
         diagnostics.acf_pacf(y, 10)
     with pytest.raises(DegenerateVarianceError):
         diagnostics.acf_pacf(np.full(10, 3.0), 2)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_observations_raise_before_any_warning(bad):
+    # Ten points would also draw the small-sample warning, so the check must come first.
+    y = [0.5, -1.0, bad, 2.0, 0.0, 1.0, -0.5, 0.25, 1.5, -2.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^observations must be finite, got {bad}$"):
+            diagnostics.acf_pacf(y, 2)
+        with pytest.raises(ValueError, match=f"^observations must be finite, got {bad}$"):
+            diagnostics.ljung_box(y, 2)
 
 
 def test_alternating_series_lag_one():
@@ -184,8 +198,6 @@ def test_ljung_box_warns_below_thirty_points():
 
 
 def test_ljung_box_silent_at_thirty_points():
-    import warnings
-
     rng = np.random.default_rng(17)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

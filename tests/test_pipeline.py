@@ -12,7 +12,7 @@ from driftbias.errors import InsufficientDataError, ParseError
 from driftbias.smoothing import SmoothingConfig
 
 
-def make_period_path(total, sigma2, n=16, seed=0, t0=0.0):
+def make_period_path(total, sigma2, n=16, seed=0):
     """Craft a one-year path whose estimates hit (total, sigma2) exactly.
 
     Daily returns are total/n plus standardized residuals scaled to the
@@ -28,7 +28,7 @@ def make_period_path(total, sigma2, n=16, seed=0, t0=0.0):
     else:
         r = np.full(n, total / n)
     prices = 100.0 * np.exp(np.concatenate(([0.0], np.cumsum(r))))
-    return gbm.PricePath(t0=t0, step_h=h, prices=prices)
+    return gbm.PricePath(step_h=h, prices=prices)
 
 
 def dataset_from_paths(paths, stock_id="000001", years=None, beta=1.0, risk_free=None, market=None):
@@ -48,10 +48,7 @@ def dataset_from_paths(paths, stock_id="000001", years=None, beta=1.0, risk_free
 
 def make_dataset(totals, sigma2=0.09, stock_id="000001", rf=0.03, beta=1.0, mkt=0.08):
     n = len(totals)
-    paths = tuple(
-        make_period_path(total, sigma2, seed=100 + i, t0=float(i))
-        for i, total in enumerate(totals)
-    )
+    paths = tuple(make_period_path(total, sigma2, seed=100 + i) for i, total in enumerate(totals))
     return dataset_from_paths(paths, stock_id, beta=beta, risk_free=(rf,) * n, market=(mkt,) * n)
 
 
@@ -110,7 +107,7 @@ def test_dataset_checks_closes_and_offsets():
                 market_return_expectation=(0.0, 0.0))
     dataset = pipeline.StockDataset(closes=[1.0, 2.0, 3.0, 4.0, 5.0], offsets=[0, 2, 5], **data)
     assert [path.prices.tolist() for path in dataset.period_paths] == [[1.0, 2.0], [3.0, 4.0, 5.0]]
-    assert [path.t0 for path in dataset.period_paths] == [0.0, 1.0]
+    assert [path.step_h for path in dataset.period_paths] == [0.5, 0.5]
     with pytest.raises(ValueError):
         dataset.closes[0] = 2.0
     with pytest.raises(ValueError, match="mismatched"):
@@ -328,7 +325,7 @@ def test_score_records_uses_last_bias_and_smoothed_bias():
     assert report.simple_adjusted == pytest.approx(0.2 - records[-1].bias, rel=1e-12)
     from driftbias.smoothing import smooth
 
-    forecast = smooth([r.bias for r in records], SmoothingConfig(alpha=0.2)).forecasts[-1]
+    forecast = smooth([r.bias for r in records], SmoothingConfig(alpha=0.2))[-1]
     assert report.es_adjusted == pytest.approx(0.2 - forecast, rel=1e-12)
     assert report.sd_simple == pytest.approx((report.simple_adjusted - 0.1) ** 2, rel=1e-12)
 
@@ -345,7 +342,7 @@ def test_split_holdout():
     sample, holdout = pipeline.split_holdout(data)
     assert sample.years == (2009, 2010)
     last = data.period_paths[-1]
-    assert (holdout.t0, holdout.step_h) == (last.t0, last.step_h)
+    assert holdout.step_h == last.step_h
     assert holdout.prices.tolist() == last.prices.tolist()
     with pytest.raises(InsufficientDataError):
         pipeline.split_holdout(make_dataset([0.5]))
@@ -562,11 +559,10 @@ def test_period_estimates_match_per_path_reference(sizes, h_per_year, seed):
     rng = np.random.default_rng(seed)
     paths = tuple(
         gbm.PricePath(
-            t0=float(k),
             step_h=1.0 / h_per_year,
             prices=np.round(np.exp(rng.uniform(0.0, 6.0) + np.cumsum(rng.normal(0.0, 0.03, size))), 4),
         )
-        for k, size in enumerate(sizes)
+        for size in sizes
     )
     data = dataset_from_paths(paths, "S1", risk_free=(0.03,) * len(sizes), market=(0.08,) * len(sizes))
     sample, holdout = pipeline.split_holdout(data)

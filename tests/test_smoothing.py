@@ -17,9 +17,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         smoothing.SmoothingConfig(alpha=1.5)
     assert smoothing.SmoothingConfig().alpha == 0.2
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="init_value must be finite"):
-            smoothing.SmoothingConfig(init_value=bad)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -30,11 +27,6 @@ def test_smooth_and_fit_reject_non_finite_observations(bad):
         smoothing.fit_alpha([1.0, bad, 2.0, 3.0])
 
 
-def test_smoothed_series_needs_one_more_forecast():
-    with pytest.raises(ValueError, match="^forecasts must have exactly one more element than observations$"):
-        smoothing.SmoothedSeries(observations=[1.0, 2.0], forecasts=[1.0, 2.0], alpha=0.2)
-
-
 def test_smooth_empty_input():
     with pytest.raises(InsufficientDataError):
         smoothing.smooth([], smoothing.SmoothingConfig())
@@ -42,51 +34,47 @@ def test_smooth_empty_input():
 
 def test_alpha_one_tracks_last_observation():
     y = [3.0, 1.0, 4.0, 1.0, 5.0]
-    result = smoothing.smooth(y, smoothing.SmoothingConfig(alpha=1.0))
-    assert np.array_equal(result.forecasts[1:], y)
-    assert result.forecasts[0] == y[0]
+    forecasts = smoothing.smooth(y, smoothing.SmoothingConfig(alpha=1.0))
+    assert np.array_equal(forecasts[1:], y)
+    assert forecasts[0] == y[0]
 
 
 def test_alpha_zero_never_learns():
-    result = smoothing.smooth(
-        [3.0, 1.0, 4.0], smoothing.SmoothingConfig(alpha=0.0, init_value=7.0)
-    )
-    assert np.array_equal(result.forecasts, np.full(4, 7.0))
+    forecasts = smoothing.smooth([3.0, 1.0, 4.0], smoothing.SmoothingConfig(alpha=0.0))
+    assert np.array_equal(forecasts, np.full(4, 3.0))
 
 
 def test_hand_computed_recurrence():
     # F1 = Y1 = 10; F2 = 10; F3 = 0.2*12 + 0.8*10 = 10.4; F4 = 9.92.
-    result = smoothing.smooth([10.0, 12.0, 8.0], smoothing.SmoothingConfig(alpha=0.2))
-    assert result.forecasts == pytest.approx([10.0, 10.0, 10.4, 9.92], rel=1e-14)
+    forecasts = smoothing.smooth([10.0, 12.0, 8.0], smoothing.SmoothingConfig(alpha=0.2))
+    assert forecasts == pytest.approx([10.0, 10.0, 10.4, 9.92], rel=1e-14)
 
 
 @given(series_strategy, st.sampled_from(alpha_grid))
 def test_recurrence_holds_everywhere(y, alpha):
     config = smoothing.SmoothingConfig(alpha=alpha)
-    result = smoothing.smooth(y, config)
-    assert result.forecasts.size == len(y) + 1
+    forecasts = smoothing.smooth(y, config)
+    assert forecasts.size == len(y) + 1
     for k in range(len(y)):
-        expected = alpha * y[k] + (1.0 - alpha) * result.forecasts[k]
-        assert result.forecasts[k + 1] == pytest.approx(expected, abs=1e-12)
+        expected = alpha * y[k] + (1.0 - alpha) * forecasts[k]
+        assert forecasts[k + 1] == pytest.approx(expected, abs=1e-12)
 
 
 @given(series_strategy, st.sampled_from(alpha_grid))
 def test_forecasts_stay_inside_observed_range(y, alpha):
-    result = smoothing.smooth(y, smoothing.SmoothingConfig(alpha=alpha))
+    forecasts = smoothing.smooth(y, smoothing.SmoothingConfig(alpha=alpha))
     lo = min(min(y), y[0])
     hi = max(max(y), y[0])
-    assert np.all(result.forecasts >= lo - 1e-9)
-    assert np.all(result.forecasts <= hi + 1e-9)
+    assert np.all(forecasts >= lo - 1e-9)
+    assert np.all(forecasts <= hi + 1e-9)
 
 
 @given(series_strategy, st.sampled_from(alpha_grid), st.floats(-50.0, 50.0))
 def test_shift_equivariance(y, alpha, c):
     base = smoothing.smooth(y, smoothing.SmoothingConfig(alpha=alpha))
-    shifted = smoothing.smooth(
-        [v + c for v in y],
-        smoothing.SmoothingConfig(alpha=alpha, init_value=y[0] + c),
-    )
-    assert shifted.forecasts == pytest.approx(base.forecasts + c, abs=1e-9)
+    # F_1 is the first observation, so it shifts with the series.
+    shifted = smoothing.smooth([v + c for v in y], smoothing.SmoothingConfig(alpha=alpha))
+    assert shifted == pytest.approx(base + c, abs=1e-9)
 
 
 def test_weight_expansion_alpha_one():
@@ -116,12 +104,12 @@ def test_weights_sum_to_one(alpha, t):
 @given(series_strategy, st.sampled_from(alpha_grid))
 def test_expansion_reproduces_recurrence(y, alpha):
     config = smoothing.SmoothingConfig(alpha=alpha)
-    result = smoothing.smooth(y, config)
+    forecasts = smoothing.smooth(y, config)
     t = len(y)
     weights = smoothing.weight_expansion(config, t)
     # Dot with (Y_t, ..., Y_1, F_1), newest first.
-    stacked = np.concatenate((y[::-1], [result.forecasts[0]]))
-    assert float(weights @ stacked) == pytest.approx(result.forecasts[-1], abs=1e-12)
+    stacked = np.concatenate((y[::-1], [forecasts[0]]))
+    assert float(weights @ stacked) == pytest.approx(forecasts[-1], abs=1e-12)
 
 
 def test_fit_alpha_needs_three_points():
@@ -176,7 +164,7 @@ def per_alpha_fit(y, grid):
     """Reference fit: one smooth() per candidate, first strict minimum wins."""
     best = None
     for alpha in sorted(grid):
-        errors = np.asarray(y) - smoothing.smooth(y, smoothing.SmoothingConfig(alpha)).forecasts[:-1]
+        errors = np.asarray(y) - smoothing.smooth(y, smoothing.SmoothingConfig(alpha))[:-1]
         sse = float(errors @ errors)
         if best is None or sse < best[1]:
             best = (alpha, sse)
@@ -197,5 +185,5 @@ def test_fit_alpha_sse_sums_each_error_row_contiguously(y):
     # np.vecdot of its contiguous error row bit for bit, as a strided row
     # sums in another order.
     alpha, sse = smoothing.fit_alpha(y)
-    errors = np.asarray(y) - smoothing.smooth(y, smoothing.SmoothingConfig(alpha)).forecasts[:-1]
+    errors = np.asarray(y) - smoothing.smooth(y, smoothing.SmoothingConfig(alpha))[:-1]
     assert sse == float(np.vecdot(errors, errors))
