@@ -159,9 +159,12 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 def _cmd_estimate(args: argparse.Namespace) -> None:
     if not args.h_per_year > 0:
         raise ValueError(f"--h-per-year must be positive, got {args.h_per_year}")
-    path = gbm.read_price_csv(args.prices, step_h=1.0 / args.h_per_year)
+    step_h = 1.0 / args.h_per_year
+    if step_h == math.inf:
+        raise ValueError(f"--h-per-year = {args.h_per_year!r} makes the step 1 / {args.h_per_year!r} overflow")
+    path = gbm.read_price_csv(args.prices, step_h=step_h)
     estimate = gbm.estimate_unconditional(gbm.log_returns(path))
-    if not (math.isfinite(estimate.nu_hat) and math.isfinite(estimate.sigma2_hat)):
+    if not all(map(math.isfinite, (estimate.nu_hat, estimate.sigma2_hat, estimate.T))):
         raise ValueError(f"the estimates overflow; --h-per-year = {args.h_per_year:g} is far from a sampling rate")
     _emit(
         "nu_hat,sigma2_hat,n,T\n"

@@ -69,8 +69,7 @@ class PricePath:
         prices = np.array(self.prices, dtype=float)
         prices.flags.writeable = False
         object.__setattr__(self, "prices", prices)
-        if not self.step_h > 0:
-            raise ValueError(f"step_h must be positive, got {self.step_h}")
+        _check_step(self.step_h)
         if prices.ndim != 1 or prices.size < 2:
             raise ValueError("a price path needs at least two prices")
         if not (prices > 0).all():
@@ -96,8 +95,7 @@ class ReturnSeries:
         returns = np.array(self.returns, dtype=float)
         returns.flags.writeable = False
         object.__setattr__(self, "returns", returns)
-        if not self.step_h > 0:
-            raise ValueError(f"step_h must be positive, got {self.step_h}")
+        _check_step(self.step_h)
         if returns.ndim != 1 or returns.size < 1:
             raise ValueError("a return series needs at least one return")
         if not np.isfinite(returns).all():
@@ -292,6 +290,13 @@ def read_price_csv(path: str, step_h: float) -> PricePath:
     if len(prices) < 2:
         raise ParseError(f"{path}: a price CSV needs at least two rows")
     return PricePath(step_h=step_h, prices=np.asarray(prices))
+
+
+def _check_step(step_h: float) -> None:
+    if not step_h > 0:
+        raise ValueError(f"step_h must be positive, got {step_h}")
+    if step_h == math.inf:
+        raise ValueError(f"step_h must be finite, got {step_h}")
 
 
 def _validate_grid(a0: float, T: float, n: int) -> None:

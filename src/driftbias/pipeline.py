@@ -33,10 +33,8 @@ import numpy as np
 from ._csv import finite, invalid, read_rows, read_table
 from .conditional import Direction, _closed_form
 from .errors import InsufficientDataError, ParseError
-from .gbm import PricePath, _estimate_segments, estimate_unconditional, log_returns
-from .smoothing import (
-    DEFAULT_ALPHA, DEFAULT_FIT_GRID, SmoothingConfig, _finite_series, _fit_alphas, _forecasts, smooth
-)
+from .gbm import PricePath, _check_step, _estimate_segments, estimate_unconditional, log_returns
+from .smoothing import DEFAULT_ALPHA, DEFAULT_FIT_GRID, _finite_series, _fit_alphas, _forecasts
 
 __all__ = [
     "PipelineConfig",
@@ -45,9 +43,6 @@ __all__ = [
     "ForecastReport",
     "capm_benchmark",
     "build_period_records",
-    "simple_adjust",
-    "es_adjust",
-    "next_raw_forecast",
     "score_records",
     "score_and_report",
     "split_holdout",
@@ -134,8 +129,11 @@ class StockDataset:
                     f"stock {self.stock_id}: periods must be consecutive years, "
                     f"got {previous} then {current}"
                 )
-        if not self.step_h > 0:
-            raise ValueError(f"step_h must be positive, got {self.step_h}")
+        _check_step(self.step_h)
+        for name in ("beta", "risk_free", "market_return_expectation"):
+            for value in np.atleast_1d(getattr(self, name)).tolist():
+                if not math.isfinite(value):
+                    raise ValueError(f"stock {self.stock_id}: {name} must be finite, got {value}")
         sizes = offsets[1:] - offsets[:-1]
         if closes.ndim != 1 or offsets[0] != 0 or offsets[-1] != closes.size or sizes.min() < 2:
             raise ValueError(f"stock {self.stock_id}: offsets must cut closes into periods of >= 2 prices")
@@ -419,57 +417,23 @@ def build_period_records(
         InsufficientDataError: fewer than two periods, or a period with
             fewer than two returns.
     """
+    return _records_and_forecast(data, config)[0]
+
+
+def _records_and_forecast(data: StockDataset, config: PipelineConfig) -> tuple[list[PeriodRecord], float]:
+    """``build_period_records``' records and, from the same gate pass, the
+    gated raw forecast for the period after the last one (0.0 when that
+    gate is closed or degenerate)."""
     if data.n_periods < 2:
         raise InsufficientDataError(
             f"stock {data.stock_id}: need at least 2 periods, got {data.n_periods}"
         )
     columns = _columns(_portfolio([data]), config)
     nu_hat, sigma2_hat, realized = _estimate_segments(columns.closes, columns.sizes, columns.step_h)
-    gates = _thread_gates(realized, columns.benchmark, nu_hat, sigma2_hat, np.array([data.n_periods]))[:3]
+    *gates, raw_next = _thread_gates(realized, columns.benchmark, nu_hat, sigma2_hat, np.array([data.n_periods]))
     values = (nu_hat, sigma2_hat, realized, columns.benchmark, *gates)
     rows = zip(*(column.tolist() for column in values))
-    return [PeriodRecord(index, *row) for index, row in enumerate(rows)]
-
-
-def simple_adjust(records: Sequence[PeriodRecord]) -> list[float]:
-    """Subtract each previous period's bias from the raw forecast.
-
-    The first element has no previous period and stays raw.
-    """
-    if len(records) < 2:
-        raise InsufficientDataError(f"simple adjustment needs >= 2 records, got {len(records)}")
-    adjusted = [records[0].nu_tilde]
-    for previous, current in zip(records, records[1:]):
-        adjusted.append(current.nu_tilde - previous.bias)
-    return adjusted
-
-
-def es_adjust(
-    records: Sequence[PeriodRecord], config: SmoothingConfig = SmoothingConfig()
-) -> list[float]:
-    """Subtract the exponentially smoothed bias forecast instead.
-
-    The bias series (zeros for not-invested periods) is smoothed and each
-    record's raw forecast is reduced by the smoothed one-step-ahead bias
-    F_i. With alpha = 1 the smoothed forecast is the previous bias, so
-    this reduces to ``simple_adjust`` exactly.
-    """
-    if len(records) < 3:
-        raise InsufficientDataError(f"ES adjustment needs >= 3 records, got {len(records)}")
-    forecasts = smooth([record.bias for record in records], config).tolist()
-    return [record.nu_tilde - forecast for record, forecast in zip(records, forecasts)]
-
-
-def next_raw_forecast(records: Sequence[PeriodRecord]) -> tuple[float, bool]:
-    """Gated conditional forecast for the period after the last record.
-
-    Returns (nu_tilde, degenerate); a closed gate or a degenerate
-    forecast yields (0.0, flag) per the not-invested convention.
-    """
-    last = records[-1]
-    values = (last.realized_return, last.benchmark_c, last.nu_hat, last.sigma2_hat)
-    _, nu_tilde, degenerate = _gates(*(np.array([value]) for value in values))
-    return float(nu_tilde[0]), bool(degenerate[0])
+    return [PeriodRecord(index, *row) for index, row in enumerate(rows)], float(raw_next[0])
 
 
 def score_records(
@@ -495,8 +459,7 @@ def score_and_report(
     data: StockDataset, holdout: PricePath, config: PipelineConfig = PipelineConfig()
 ) -> ForecastReport:
     """Build records from the sample periods and score the holdout period."""
-    records = build_period_records(data, config)
-    raw_next, _ = next_raw_forecast(records)
+    records, raw_next = _records_and_forecast(data, config)
     holdout_nu_hat = estimate_unconditional(log_returns(holdout)).nu_hat
     return score_records(data.stock_id, records, raw_next, holdout_nu_hat, config)
 

@@ -23,7 +23,6 @@ __all__ = [
     "DEFAULT_FIT_GRID",
     "SmoothingConfig",
     "smooth",
-    "weight_expansion",
     "fit_alpha",
 ]
 
@@ -78,22 +77,6 @@ def _forecasts(y: np.ndarray, alpha: float | np.ndarray, first: float | np.ndarr
     return forecasts
 
 
-def weight_expansion(config: SmoothingConfig, t: int) -> np.ndarray:
-    """Weights of the expanded recurrence after t observations.
-
-    Returns (alpha, (1-alpha)*alpha, ..., (1-alpha)^(t-1)*alpha,
-    (1-alpha)^t); the dot product with (Y_t, Y_{t-1}, ..., Y_1, F_1)
-    reproduces F_{t+1}. The weights always sum to 1.
-    """
-    if t < 1:
-        raise ValueError(f"t must be at least 1, got {t}")
-    alpha = config.alpha
-    decay = (1.0 - alpha) ** np.arange(t + 1)
-    weights = alpha * decay
-    weights[t] = decay[t]
-    return weights
-
-
 def fit_alpha(
     observations: Sequence[float],
     grid: Sequence[float] = DEFAULT_FIT_GRID,
@@ -113,14 +96,19 @@ def fit_alpha(
 
     Raises:
         InsufficientDataError: fewer than 3 observations.
-        ValueError: a non-finite observation or an empty grid.
+        ValueError: a non-finite observation, an empty grid, or a grid alpha
+            outside [0, 1].
     """
     y = _finite_series(observations)
     if y.size < 3:
         raise InsufficientDataError(f"fitting alpha needs at least 3 observations, got {y.size}")
-    alphas = np.sort(np.array(grid, dtype=float))
+    alphas = np.array(grid, dtype=float)
     if alphas.size == 0:
         raise ValueError("alpha grid must be non-empty")
+    outside = ~((alphas >= 0.0) & (alphas <= 1.0))  # nan included
+    if outside.any():
+        raise ValueError(f"alpha must lie in [0, 1], got {alphas[outside][0]}")
+    alphas = np.sort(alphas)
     best, sse, exponent = (values[0] for values in _fit_alphas(y[None], alphas))
     try:
         return float(alphas[best]), math.ldexp(float(sse), 2 * int(exponent))

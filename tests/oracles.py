@@ -13,6 +13,7 @@ from driftbias import pipeline
 from driftbias.conditional import ConditionalQuery, Direction, conditional_nu
 from driftbias.errors import DegenerateConditionError, InsufficientDataError, ParseError
 from driftbias.pipeline import StockDataset
+from driftbias.smoothing import SmoothingConfig
 
 
 def conditional_nu_quadrature(q: ConditionalQuery) -> float:
@@ -108,6 +109,22 @@ def substream(seed: int, path_index: int) -> np.random.Generator:
     batches can run in parallel and still reproduce exactly.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(path_index,)))
+
+
+def weight_expansion(config: SmoothingConfig, t: int) -> np.ndarray:
+    """Weights of the expanded recurrence after t observations.
+
+    Returns (alpha, (1-alpha)*alpha, ..., (1-alpha)^(t-1)*alpha,
+    (1-alpha)^t); the dot product with (Y_t, Y_{t-1}, ..., Y_1, F_1)
+    reproduces F_{t+1}. The weights always sum to 1.
+    """
+    if t < 1:
+        raise ValueError(f"t must be at least 1, got {t}")
+    alpha = config.alpha
+    decay = (1.0 - alpha) ** np.arange(t + 1)
+    weights = alpha * decay
+    weights[t] = decay[t]
+    return weights
 
 
 class _Segments(NamedTuple):

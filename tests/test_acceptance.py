@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from oracles import conditional_nu_quadrature, monte_carlo_conditional
+from oracles import conditional_nu_quadrature, monte_carlo_conditional, weight_expansion
 from test_diagnostics import AR1_FIXTURE, AR1_Q_ORACLE
 
 from driftbias import (
@@ -43,15 +43,12 @@ from driftbias import (
     bias_surface,
     conditional_mu,
     conditional_nu,
-    es_adjust,
     estimate_unconditional,
     ljung_box,
     log_returns,
     score_records,
-    simple_adjust,
     simulate_gbm,
     smooth,
-    weight_expansion,
 )
 from driftbias.errors import DegenerateConditionError
 
@@ -250,13 +247,19 @@ def test_smoothing_identities():
                 worst_expansion = max(worst_expansion, abs(rebuilt - forecasts[t]))
     assert worst_expansion <= 1e-12
 
-    # alpha = 1 smoothing degenerates to the one-lag correction
+    # alpha = 1 smoothing degenerates to the one-lag correction on every
+    # prefix of >= 3 records
     worst_identity = 0.0
+    config = PipelineConfig(alpha=1.0)
     for trial in range(20):
         records = _random_records(rng, int(rng.integers(3, 12)))
-        es = es_adjust(records, SmoothingConfig(alpha=1.0))
-        simple = simple_adjust(records)
-        worst_identity = max(worst_identity, *(abs(a - b) for a, b in zip(es, simple)))
+        for k in range(3, len(records) + 1):
+            report = score_records("R", records[:k], 0.1, 0.08, config)
+            worst_identity = max(
+                worst_identity,
+                abs(report.es_adjusted - report.simple_adjusted),
+                abs(report.sd_es - report.sd_simple),
+            )
     assert worst_identity <= 1e-12
 
     worst_sum = 0.0

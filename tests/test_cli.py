@@ -115,6 +115,15 @@ def test_estimate_rejects_zero_h_per_year(capsys, tmp_path):
     assert err == "error: --h-per-year must be positive, got 0.0\n"
 
 
+def test_estimate_rejects_an_h_per_year_whose_step_overflows(capsys, tmp_path):
+    # 1 / 1e-320 is inf; that step once printed T = inf and exited 0.
+    prices = tmp_path / "prices.csv"
+    prices.write_text("date_index,price\n0,1.0\n1,1.5\n2,1.2\n")
+    code, out, err = run_cli(capsys, "estimate", "--prices", str(prices), "--h-per-year", "1e-320")
+    assert (code, out) == (2, "")
+    assert err == "error: --h-per-year = 1e-320 makes the step 1 / 1e-320 overflow\n"
+
+
 def test_estimate_rejects_estimates_past_the_float_range(capsys, tmp_path):
     # At a step of 1e-305 years the variance of these returns overflows; it
     # once printed inf, with a RuntimeWarning, and exited 0.
@@ -123,6 +132,15 @@ def test_estimate_rejects_estimates_past_the_float_range(capsys, tmp_path):
     code, out, err = run_cli(capsys, "estimate", "--prices", str(prices), "--h-per-year", "1e305")
     assert (code, out) == (2, "")
     assert err == "error: the estimates overflow; --h-per-year = 1e+305 is far from a sampling rate\n"
+
+
+def test_estimate_rejects_a_duration_past_the_float_range(capsys, tmp_path):
+    # A step of 1e308 years is finite, but two of them are not: T once printed as inf.
+    prices = tmp_path / "prices.csv"
+    prices.write_text("date_index,price\n0,1.0\n1,1.5\n2,1.2\n")
+    code, out, err = run_cli(capsys, "estimate", "--prices", str(prices), "--h-per-year", "1e-308")
+    assert (code, out) == (2, "")
+    assert err == "error: the estimates overflow; --h-per-year = 1e-308 is far from a sampling rate\n"
 
 
 def test_estimate_missing_file(capsys, tmp_path):

@@ -138,6 +138,14 @@ def test_return_series_and_estimate_validation():
         gbm.EstimateResult(nu_hat=0.0, sigma2_hat=-1.0, n=2, T=1.0)
 
 
+def test_paths_and_series_need_a_finite_step():
+    # An infinite step once gave nu_hat = 0.0 and T = inf without a word.
+    with pytest.raises(ValueError, match="^step_h must be finite, got inf$"):
+        gbm.PricePath(step_h=math.inf, prices=(1.0, 2.0))
+    with pytest.raises(ValueError, match="^step_h must be finite, got inf$"):
+        gbm.ReturnSeries(step_h=math.inf, returns=(0.01, 0.02))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_return_series_rejects_non_finite_values(bad):
     # Before summing them into the default total, which would warn or give nan.

@@ -9,7 +9,7 @@ from oracles import substream
 from driftbias import conditional as ce
 from driftbias import gbm, pipeline
 from driftbias.errors import InsufficientDataError, ParseError
-from driftbias.smoothing import SmoothingConfig
+from driftbias.smoothing import SmoothingConfig, smooth
 
 
 def make_period_path(total, sigma2, n=16, seed=0):
@@ -120,9 +120,22 @@ def test_dataset_checks_closes_and_offsets():
             pipeline.StockDataset(closes=[1.0, 2.0, 3.0, bad], offsets=[0, 2, 4], **data)
     with pytest.raises(ValueError, match="step_h"):
         pipeline.StockDataset(closes=[1.0, 2.0, 3.0, 4.0], offsets=[0, 2, 4], **{**data, "step_h": 0.0})
+    with pytest.raises(ValueError, match="^step_h must be finite, got inf$"):
+        pipeline.StockDataset(closes=[1.0, 2.0, 3.0, 4.0], offsets=[0, 2, 4], **{**data, "step_h": math.inf})
     none = {**data, "years": (), "risk_free": (), "market_return_expectation": ()}
     with pytest.raises(ValueError, match="^stock x: no periods$"):
         pipeline.StockDataset(closes=[], offsets=[0], **none)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["beta", "risk_free", "market_return_expectation"])
+def test_dataset_rejects_non_finite_capm_inputs(field, bad):
+    # A nan beta once made every gate degenerate without a word.
+    data = dict(stock_id="x", years=(2009, 2010), closes=[1.0, 2.0, 3.0, 4.0], offsets=[0, 2, 4], step_h=0.5,
+                beta=1.0, risk_free=(0.0, 0.0), market_return_expectation=(0.0, 0.0))
+    data[field] = bad if field == "beta" else (0.03, bad)
+    with pytest.raises(ValueError, match=f"^stock x: {field} must be finite, got {bad}$"):
+        pipeline.StockDataset(**data)
 
 
 def test_capm_benchmark():
@@ -213,22 +226,31 @@ def test_invested_fraction_matches_normal_quantile():
     assert abs(opened / total - phi_1) <= 3.0 * se
 
 
-def test_simple_adjust_needs_two_records():
-    with pytest.raises(InsufficientDataError):
-        pipeline.simple_adjust([make_record()])
+# The simple and ES adjustments are scored through score_records, the one
+# copy of their arithmetic: simple_adjusted = raw - last bias, and
+# es_adjusted = raw - F_{t+1}, the smoothed forecast of the bias series.
+
+
+def test_score_records_needs_three_records():
+    with pytest.raises(InsufficientDataError, match="^scoring needs >= 3 records, got 2$"):
+        pipeline.score_records("000001", [make_record(), make_record(index=1)], 0.1, 0.1)
 
 
 def test_simple_adjust_zero_bias_is_identity():
     records = pipeline.build_period_records(make_dataset([-0.1, -0.2, -0.3]))
-    assert pipeline.simple_adjust(records) == [r.nu_tilde for r in records]
+    for raw in (0.0, 0.07, -0.3):
+        assert pipeline.score_records("000001", records, raw, 0.05).simple_adjusted == raw
 
 
 def test_simple_adjust_hand_case():
+    # The last record's bias is 0.15 - 0.10 = 0.05, so a raw 0.20 becomes 0.15.
     records = [
-        make_record(index=0, nu_hat=0.10, nu_tilde=0.15, invested=True),
-        make_record(index=1, nu_hat=0.12, nu_tilde=0.20, invested=True),
+        make_record(index=0),
+        make_record(index=1),
+        make_record(index=2, nu_hat=0.10, nu_tilde=0.15, invested=True),
     ]
-    assert pipeline.simple_adjust(records) == pytest.approx([0.15, 0.15], rel=1e-12)
+    report = pipeline.score_records("000001", records, raw_next=0.20, holdout_nu_hat=0.12)
+    assert report.simple_adjusted == pytest.approx(0.15, rel=1e-12)
 
 
 def ar1_bias_records(rho=0.9, n=40, seed=21, scale=0.1):
@@ -245,39 +267,40 @@ def ar1_bias_records(rho=0.9, n=40, seed=21, scale=0.1):
 
 
 def test_simple_adjust_beats_raw_on_persistent_bias():
+    # Each record from the fourth on is the holdout of the records before it.
     records = ar1_bias_records()
-    raw_ssd = sum(r.bias**2 for r in records)
-    adjusted = pipeline.simple_adjust(records)
-    simple_ssd = sum((a - r.nu_hat) ** 2 for a, r in zip(adjusted, records))
-    assert simple_ssd < raw_ssd
-
-
-def test_es_adjust_needs_three_records():
-    with pytest.raises(InsufficientDataError):
-        pipeline.es_adjust([make_record(), make_record(index=1)])
+    reports = [
+        pipeline.score_records("000001", records[:k], records[k].nu_tilde, records[k].nu_hat)
+        for k in range(3, len(records))
+    ]
+    assert sum(r.sd_simple for r in reports) < sum(r.sd_raw for r in reports)
 
 
 def test_es_adjust_zero_bias_is_identity():
     records = pipeline.build_period_records(make_dataset([-0.1, -0.2, -0.3]))
-    assert pipeline.es_adjust(records) == [r.nu_tilde for r in records]
+    for raw in (0.0, 0.07, -0.3):
+        assert pipeline.score_records("000001", records, raw, 0.05).es_adjusted == raw
 
 
 def test_es_adjust_alpha_one_equals_simple():
     # Pipeline-built records start with zero bias, making the alpha = 1
     # smoothed forecast coincide with the previous bias at every step.
+    config = pipeline.PipelineConfig(alpha=1.0)
     for totals in ([0.5, -0.2, 0.3, 0.1, 0.4], [0.5, 0.4, 0.6, 0.45, 0.3]):
         records = pipeline.build_period_records(make_dataset(totals))
-        es = pipeline.es_adjust(records, SmoothingConfig(alpha=1.0))
-        simple = pipeline.simple_adjust(records)
-        assert es == simple
+        for k in range(3, len(records) + 1):
+            report = pipeline.score_records("000001", records[:k], 0.1, 0.05, config)
+            assert report.es_adjusted == report.simple_adjusted
 
 
 def test_es_adjust_constant_bias_fixed_point():
     records = [
         make_record(index=i, nu_hat=0.10, nu_tilde=0.15, invested=True) for i in range(5)
     ]
-    adjusted = pipeline.es_adjust(records, SmoothingConfig(alpha=0.2))
-    assert adjusted == pytest.approx([0.15 - 0.05] * 5, rel=1e-12)
+    config = pipeline.PipelineConfig(alpha=0.2)
+    for k in range(3, len(records) + 1):
+        report = pipeline.score_records("000001", records[:k], 0.15, 0.10, config)
+        assert report.es_adjusted == pytest.approx(0.15 - 0.05, rel=1e-12)
 
 
 def test_ssd_matches_direct_recomputation():
@@ -289,14 +312,15 @@ def test_ssd_matches_direct_recomputation():
 
 
 def test_next_raw_forecast_closed_gate():
-    records = pipeline.build_period_records(make_dataset([0.5, -0.2]))
-    assert pipeline.next_raw_forecast(records) == (0.0, False)
+    # The last sample period (-0.2) misses C = 0.08, so no money enters the holdout.
+    sample, holdout = pipeline.split_holdout(make_dataset([0.5, 0.4, -0.2, 0.3]))
+    assert pipeline.score_and_report(sample, holdout).raw_conditional == 0.0
 
 
 def test_next_raw_forecast_open_gate():
-    records = pipeline.build_period_records(make_dataset([0.5, 0.4]))
-    nu_tilde, degenerate = pipeline.next_raw_forecast(records)
-    last = records[-1]
+    sample, holdout = pipeline.split_holdout(make_dataset([0.5, 0.4, 0.45, 0.3]))
+    report = pipeline.score_and_report(sample, holdout)
+    last = pipeline.build_period_records(sample)[-1]
     expected = ce.conditional_nu(
         ce.ConditionalQuery(
             nu=last.nu_hat,
@@ -306,8 +330,7 @@ def test_next_raw_forecast_open_gate():
             direction=ce.Direction.ABOVE,
         )
     ).expectation
-    assert not degenerate
-    assert nu_tilde == expected
+    assert report.raw_conditional == expected
 
 
 def test_score_records_perfect_forecast():
@@ -323,8 +346,6 @@ def test_score_records_uses_last_bias_and_smoothed_bias():
     records = ar1_bias_records(n=10)
     report = pipeline.score_records("000001", records, raw_next=0.2, holdout_nu_hat=0.1)
     assert report.simple_adjusted == pytest.approx(0.2 - records[-1].bias, rel=1e-12)
-    from driftbias.smoothing import smooth
-
     forecast = smooth([r.bias for r in records], SmoothingConfig(alpha=0.2))[-1]
     assert report.es_adjusted == pytest.approx(0.2 - forecast, rel=1e-12)
     assert report.sd_simple == pytest.approx((report.simple_adjusted - 0.1) ** 2, rel=1e-12)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import weight_expansion
+
 from driftbias import smoothing
 from driftbias.errors import InsufficientDataError
 
@@ -79,24 +81,24 @@ def test_shift_equivariance(y, alpha, c):
 
 def test_weight_expansion_alpha_one():
     assert np.array_equal(
-        smoothing.weight_expansion(smoothing.SmoothingConfig(alpha=1.0), 3),
+        weight_expansion(smoothing.SmoothingConfig(alpha=1.0), 3),
         [1.0, 0.0, 0.0, 0.0],
     )
 
 
 def test_weight_expansion_hand_case():
-    weights = smoothing.weight_expansion(smoothing.SmoothingConfig(alpha=0.2), 2)
+    weights = weight_expansion(smoothing.SmoothingConfig(alpha=0.2), 2)
     assert weights == pytest.approx([0.2, 0.16, 0.64], rel=1e-14)
 
 
 def test_weight_expansion_needs_one_observation():
     with pytest.raises(ValueError, match="^t must be at least 1, got 0$"):
-        smoothing.weight_expansion(smoothing.SmoothingConfig(), 0)
+        weight_expansion(smoothing.SmoothingConfig(), 0)
 
 
 @given(st.sampled_from(alpha_grid), st.integers(1, 100))
 def test_weights_sum_to_one(alpha, t):
-    weights = smoothing.weight_expansion(smoothing.SmoothingConfig(alpha=alpha), t)
+    weights = weight_expansion(smoothing.SmoothingConfig(alpha=alpha), t)
     assert weights.size == t + 1
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -106,7 +108,7 @@ def test_expansion_reproduces_recurrence(y, alpha):
     config = smoothing.SmoothingConfig(alpha=alpha)
     forecasts = smoothing.smooth(y, config)
     t = len(y)
-    weights = smoothing.weight_expansion(config, t)
+    weights = weight_expansion(config, t)
     # Dot with (Y_t, ..., Y_1, F_1), newest first.
     stacked = np.concatenate((y[::-1], [forecasts[0]]))
     assert float(weights @ stacked) == pytest.approx(forecasts[-1], abs=1e-12)
@@ -120,6 +122,14 @@ def test_fit_alpha_needs_three_points():
 def test_fit_alpha_needs_a_grid():
     with pytest.raises(ValueError, match="^alpha grid must be non-empty$"):
         smoothing.fit_alpha([1.0, 2.0, 3.0], grid=[])
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, 2.0, float("nan"), float("inf")])
+def test_fit_alpha_rejects_grid_alphas_outside_the_unit_interval(bad):
+    # A grid of [2.0] once returned (2.0, 5.0), and [nan] (nan, nan).
+    with pytest.raises(ValueError, match=f"^alpha must lie in \\[0, 1\\], got {bad}$"):
+        smoothing.fit_alpha([1.0, 2.0, 3.0, 5.0], grid=[0.5, bad])
+    assert smoothing.fit_alpha([1.0, 2.0, 3.0, 5.0], grid=[0.0, 1.0])[0] == 1.0
 
 
 def test_fit_alpha_frozen_grid_oracle():
