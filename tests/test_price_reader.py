@@ -243,3 +243,38 @@ def test_two_dates_of_a_stock_must_rise(tmp_path, first, second):
     path.write_text(f"stock_id,date,close\nA,{first},1.0\nA,{second},1.5\nB,{first},2.0\n")
     assert column_wise(path) == (first < second)
     assert outcome(pipeline._read_prices, str(path)) == outcome(pipeline._read_price_rows, str(path))
+
+
+# Files whose first fault the row loop finds before a later one of another
+# kind, or that only a row-by-row tokeniser reads as the row loop does:
+# ids that an S16 field would cut or lose a trailing NUL of, or that are
+# not ASCII. Each pairs the file with the end of its error, or None.
+HEADER, CRLF_HEADER = "stock_id,date,close\n", "stock_id,date,close\r\n"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (HEADER + "A,2011-01-02,1.0\nA,2011-01-01,1.0\nA,2011-01-03,x\n",
+         "line 3: rows must be strictly sorted by (stock_id, date)"),
+        (HEADER + "A,2011-01-01,1.0\nA,2011-02-30,1.0\nA,2011-03-01,1.0,2\n",
+         "line 3, column 2: invalid ISO date '2011-02-30'"),
+        (HEADER + "A,2011-01-01,1.0\nA,2011-01-02,1.5\nB,2011-01-01\n", "line 4: expected 3 columns, got 2"),
+        (CRLF_HEADER + "A\0,2011-01-02,1.0\r\nA,2011-01-03,1.0\r\n",
+         "line 3: rows must be strictly sorted by (stock_id, date)"),
+        (CRLF_HEADER + "AAAAAAAAAAAAAAAAB,2011-01-01,1.0\r\nAAAAAAAAAAAAAAAAA,2011-01-02,1.0\r\n",
+         "line 3: rows must be strictly sorted by (stock_id, date)"),
+        (CRLF_HEADER + "é,2011-01-01,1.0\r\ne,2011-01-02,1.0\r\n",
+         "line 3: rows must be strictly sorted by (stock_id, date)"),
+        (CRLF_HEADER, None),
+    ],
+)
+def test_first_fault_matches_the_row_loop(tmp_path, text, error):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(text.encode())
+    expected = outcome(pipeline._read_price_rows, str(path))
+    assert outcome(pipeline._read_prices, str(path)) == expected
+    if error is None:
+        assert expected[2] == []
+    else:
+        assert expected == (ParseError, f"{path}: {error}")
