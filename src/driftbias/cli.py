@@ -159,6 +159,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 def _cmd_estimate(args: argparse.Namespace) -> None:
     if not args.h_per_year > 0:
         raise ValueError(f"--h-per-year must be positive, got {args.h_per_year}")
+    if not math.isfinite(args.h_per_year):
+        raise ValueError(f"--h-per-year must be finite, got {args.h_per_year}")
     step_h = 1.0 / args.h_per_year
     if step_h == math.inf:
         raise ValueError(f"--h-per-year = {args.h_per_year!r} makes the step 1 / {args.h_per_year!r} overflow")

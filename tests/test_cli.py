@@ -115,6 +115,15 @@ def test_estimate_rejects_zero_h_per_year(capsys, tmp_path):
     assert err == "error: --h-per-year must be positive, got 0.0\n"
 
 
+def test_estimate_rejects_an_infinite_h_per_year(capsys, tmp_path):
+    # Its step 1 / inf is 0, and the error once named step_h instead of the flag.
+    prices = tmp_path / "prices.csv"
+    prices.write_text("date_index,price\n0,1.0\n1,1.5\n2,1.2\n")
+    code, out, err = run_cli(capsys, "estimate", "--prices", str(prices), "--h-per-year", "inf")
+    assert (code, out) == (2, "")
+    assert err == "error: --h-per-year must be finite, got inf\n"
+
+
 def test_estimate_rejects_an_h_per_year_whose_step_overflows(capsys, tmp_path):
     # 1 / 1e-320 is inf; that step once printed T = inf and exited 0.
     prices = tmp_path / "prices.csv"
