@@ -3,8 +3,8 @@ comma-separated rows. Each caller keeps only the rules of its own format.
 Errors read ``{path}: line N[, column k]: ...`` with N the physical line.
 
 ``read_table`` reads a plain file column-wise with numpy's tokenizer and
-gives up, without an error, on anything else; ``read_rows`` reads any
-file row by row and names the line of each fault.
+gives up, without an error, on anything else; ``read_rows`` reads any file
+row by row, and itself refuses only a wrong header or a row's width.
 """
 
 from __future__ import annotations

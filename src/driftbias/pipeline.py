@@ -20,12 +20,10 @@ period's nu_hat by squared deviation.
 
 from __future__ import annotations
 
-import datetime
 import math
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
-from itertools import chain
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -675,134 +673,131 @@ class _Prices(NamedTuple):
 # A prices row as numpy's tokenizer stores it: the id and date cells as
 # NUL-padded bytes, 16 each so that every field starts on an 8-byte word.
 _PRICE_DTYPE = np.dtype([("stock_id", "S16"), ("date", "S16"), ("close", "f8")])
-# Bytes 16-31 of a row hold the date cell as two big-endian words, "dddd-dd-"
-# and "dd" with six NULs of padding. XOR with these leaves each digit's value
-# in its byte and zero in every other byte.
+# A date cell as two big-endian words holds "dddd-dd-" and "dd" with six NULs
+# of padding. XOR with these leaves each digit's value in its byte and zero in
+# every other byte.
 _DATE_ZEROS = (int.from_bytes(b"0000-00-", "big"), int.from_bytes(b"00" + bytes(6), "big"))
 # A word x so XORed has the right shape exactly when no byte of x | (x + K) has
 # its top bit set: K is 0x76 at a digit, which lets 0-9 through, and 0x7F at
 # the other bytes, which lets only 0 through. No byte below 0x80 carries.
 _DATE_ADDS = (0x767676767F76767F, 0x76767F7F7F7F7F7F)
 _TOP_BITS = 0x8080808080808080
-# The bit offsets of the digits of an XORed date key Y Y Y Y 0 M M (D1 << 4 | D2).
-_YEAR_DIGITS, _MONTH_DIGITS, _DAY_DIGITS = (56, 48, 40, 32), (16, 8), (4, 0)
-# The last day of each month, February's in a leap year.
-_MONTH_DAYS = np.array([0, 31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], np.uint64)
-# The same shape for the row loop: from Python 3.11 on date.fromisoformat
-# also takes "20110103", "2011-W01-1" and more.
-_DATE_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# Whether the low bytes M M (D1 << 4 | D2) of an XORed date key, read as
+# key & 0xFFFFF, name a day of month M M, February 29 included. As hex digits
+# those bytes are M 0 M D D; the days named are those of the leap year 2000.
+_REAL_DAYS = np.zeros(1 << 20, dtype=bool)
+_REAL_DAYS[[int(f"{day[5]}0{day[6]}{day[8:]}", 16)
+            for day in np.arange("2000-01", "2001-01", dtype="M8[D]").astype(str)]] = True
 
 
 def _read_prices(path: str) -> _Prices:
-    """The prices file column-wise, or row by row when it is not plain.
+    """The prices file as columns, or the error of its first refused row.
 
-    Both ways give the same columns, or the row loop's error.
+    numpy's tokenizer reads a plain file whose ids are stripped and fit
+    their field; ``read_rows`` reads any other file, and a plain one that
+    fails a check, with every cell stripped. ``_price_columns`` checks
+    either's tokens, and a refused row's message is built from that row as
+    ``read_rows`` gives it. A width or header error of ``read_rows`` is
+    raised only when no row before it is refused.
     """
     table = read_table(path, PRICES_HEADER, _PRICE_DTYPE)
-    prices = None if table is None else _price_columns(table)
-    return _read_price_rows(path) if prices is None else prices
+    if table is not None:
+        # Big-endian words hold a row's bytes in text order on any host. The id
+        # cell fills words 0 and 1, the date cell words 2 and 3.
+        words = table.view(">u8").reshape(table.size, _PRICE_DTYPE.itemsize // 8)
+        new_stock = np.concatenate(([True], (words[1:, 0] != words[:-1, 0]) | (words[1:, 1] != words[:-1, 1])))
+        stock_ids = [cell.decode() for cell in table["stock_id"][new_stock].tolist()]
+        # The checks take stripped ids, and one as long as its field may have been cut.
+        if all(stock_id == stock_id.strip() and len(stock_id) < 16 for stock_id in stock_ids):
+            prices = _price_columns(new_stock, stock_ids, words[:, 2:4], table["close"])
+            if isinstance(prices, _Prices):
+                return prices
+    stock_ids, stock_rows, dates, closes, held = [], [], bytearray(), [], None
+    try:
+        for _, cells in read_rows(path, PRICES_HEADER):
+            stock_id, date, close = (cell.strip() for cell in cells)
+            if not stock_ids or stock_id != stock_ids[-1]:
+                stock_ids.append(stock_id)
+                stock_rows.append(len(closes))
+            # Any other cell is no date, and sixteen NULs fail the date check.
+            dates += (date.encode() if len(date) == 10 and date.isascii() else b"").ljust(16, b"\0")
+            try:
+                closes.append(float(close))
+            except ValueError:
+                closes.append(math.nan)
+    except ParseError as error:  # a header or width error waits for the rows before it
+        held = error
+    new_stock = np.zeros(len(closes), dtype=bool)
+    new_stock[stock_rows] = True
+    prices = _price_columns(new_stock, stock_ids, np.frombuffer(dates, ">u8").reshape(-1, 2), closes)
+    if isinstance(prices, _Prices):
+        if held is not None:
+            raise held
+        return prices
+    row, rule = prices
+    lineno, cells = next(islice(read_rows(path, PRICES_HEADER), row, None))
+    if rule == "id":
+        raise ParseError(f"{path}: line {lineno}, column 1: empty stock_id")
+    if rule == "date":
+        raise invalid(path, lineno, cells, 1, "ISO date")
+    if rule == "close":
+        close = finite(path, lineno, cells, 2, "price")
+        raise ParseError(f"{path}: line {lineno}: price must be strictly positive, got {close}")
+    raise ParseError(f"{path}: line {lineno}: rows must be strictly sorted by (stock_id, date)")
 
 
-def _price_columns(table: np.ndarray) -> _Prices | None:
-    """The columns of a parsed prices table, or None unless the row loop
-    would accept every row as it stands."""
-    closes = table["close"].copy()
-    if not (closes.min() > 0 and closes.max() < np.inf):  # a nan fails both
-        return None
-    # Big-endian words hold a row's bytes in text order on any host. The id
-    # cell fills words 0 and 1, the date cell words 2 and 3.
-    words = table.view(">u8").reshape(table.size, _PRICE_DTYPE.itemsize // 8)
-    key, day = words[:, 2] ^ _DATE_ZEROS[0], words[:, 3] ^ _DATE_ZEROS[1]
+def _price_columns(
+    new_stock: np.ndarray, stock_ids: list[str], dates: np.ndarray, closes: np.ndarray | list[float]
+) -> _Prices | tuple[int, str]:
+    """The columns of a tokenised prices file, or the first row the row loop
+    refuses together with the first rule that row breaks, in the row loop's
+    order: "id" (empty), "date", "close" (finite and positive) and "order".
+
+    A row starts a stock where ``new_stock`` is set, and ``stock_ids`` are the
+    ids of those rows. ``dates`` holds each row's date cell as two big-endian
+    words, and ``closes`` its close, nan where the cell is no float.
+    """
+    key, day = dates[:, 0] ^ _DATE_ZEROS[0], dates[:, 1] ^ _DATE_ZEROS[1]
     buffer = np.empty_like(key)
+    bad_date = np.zeros(key.size, dtype=bool)
     for word, add in zip((key, day), _DATE_ADDS):
         np.bitwise_or(np.add(word, add, out=buffer), word, out=buffer)
-        if np.count_nonzero(np.bitwise_and(buffer, _TOP_BITS, out=buffer)):
-            return None
+        bad_date |= np.bitwise_and(buffer, _TOP_BITS, out=buffer) != 0
     # The key Y Y Y Y 0 M M (D1 << 4 | D2) orders the dates as the text does.
     np.right_shift(day, 52, out=buffer)
     np.bitwise_and(np.bitwise_or(np.right_shift(day, 48, out=day), buffer, out=day), 0xFF, out=day)
     np.bitwise_or(key, day, out=key)
-    same_stock = (words[1:, 0] == words[:-1, 0]) & (words[1:, 1] == words[:-1, 1])
-    if np.count_nonzero(same_stock & (key[1:] <= key[:-1])):
-        return None
-    new_stock = np.concatenate(([True], ~same_stock))
+    del day  # each full-length temporary goes once spent: they set the reader's peak
+    bad_date |= ~_REAL_DAYS[np.bitwise_and(key, 0xFFFFF, out=buffer)]
+    leap_days = np.flatnonzero(buffer == 0x229)  # February 29
+    years = _years(key[leap_days])
+    bad_date[leap_days[(years % 4 != 0) | ((years % 100 == 0) & (years % 400 != 0))]] = True
     # A new segment starts where the stock or the year's four digits change.
     np.right_shift(key, 32, out=buffer)
     starts = np.flatnonzero(new_stock | np.concatenate(([True], buffer[1:] != buffer[:-1])))
-    offsets = np.append(starts, table.size)
-    years = _decimal(key[starts], _YEAR_DIGITS).astype(np.int64)
-    # As keys rise within a stock, months rise within a segment: its first and
-    # last rows bound them.
-    if not (years.all() and _decimal(key[starts], _MONTH_DIGITS).min() >= 1
-            and _decimal(key[offsets[1:] - 1], _MONTH_DIGITS).max() <= 12):
-        return None
-    # Only days 00 and 29-39 can be past their month's end; day 00 wraps round.
-    late = key[np.flatnonzero(np.subtract(day, 1, out=day) >= 0x28)]
-    month, month_day = _decimal(late, _MONTH_DIGITS), _decimal(late, _DAY_DIGITS)
-    if not ((month_day >= 1) & (month_day <= _MONTH_DAYS[month])).all():
-        return None
-    leap_years = _decimal(late[(month == 2) & (month_day == 29)], _YEAR_DIGITS)
-    if not ((leap_years % 4 == 0) & ((leap_years % 100 != 0) | (leap_years % 400 == 0))).all():
-        return None
-    stock_ids = [cell.decode() for cell in table["stock_id"][new_stock].tolist()]
-    # The row loop strips each id; one as long as the field may have been cut.
-    width = _PRICE_DTYPE["stock_id"].itemsize
-    if not all(stock_id and stock_id == stock_id.strip() and len(stock_id) < width for stock_id in stock_ids):
-        return None
-    if not all(previous < current for previous, current in zip(stock_ids, stock_ids[1:])):
-        return None
+    del buffer
+    years = _years(key[starts]).astype(np.int64)
+    bad_date[starts[years == 0]] = True  # year 0000 first shows at a segment's start
+    closes = np.array(closes, dtype=float)
+    stock_rows = np.flatnonzero(new_stock)
+    rules = {"id": np.zeros(closes.size, dtype=bool), "date": bad_date}
+    rules["id"][stock_rows] = [not stock_id for stock_id in stock_ids]
+    rules["close"] = ~((closes > 0) & (closes < np.inf))  # a nan fails both
+    # Dates rise within a stock, and ids from one stock to the next.
+    rules["order"] = np.zeros(closes.size, dtype=bool)
+    rules["order"][1:] = key[1:] <= key[:-1]
+    rules["order"][stock_rows[1:]] = [previous > current for previous, current in zip(stock_ids, stock_ids[1:])]
+    refused = rules["id"] | rules["date"] | rules["close"] | rules["order"]
+    if refused.any():
+        row = int(np.argmax(refused))
+        return row, next(rule for rule, broken in rules.items() if broken[row])
     firsts = np.flatnonzero(new_stock[starts])
-    return _Prices(closes, offsets, years, stock_ids, np.append(firsts, starts.size))
+    return _Prices(closes, np.append(starts, closes.size), years, stock_ids, np.append(firsts, starts.size))
 
 
-def _decimal(keys: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
-    """The numbers whose decimal digits are the four bits at each shift of
-    ``keys``, most significant first."""
-    value = np.zeros_like(keys)
-    for shift in shifts:
-        value = value * 10 + (keys >> shift & 0xF)
-    return value
-
-
-def _read_price_rows(path: str) -> _Prices:
-    """The prices file read row by row; the reference for the column-wise reader."""
-    closes: list[float] = []
-    years: list[int] = []
-    starts: list[int] = []
-    stock_ids: list[str] = []
-    firsts: list[int] = []
-    previous_key: tuple[str, datetime.date] | None = None
-    for lineno, cells in read_rows(path, PRICES_HEADER):
-        stock_id = cells[0].strip()
-        if not stock_id:
-            raise ParseError(f"{path}: line {lineno}, column 1: empty stock_id")
-        date_text = cells[1].strip()
-        try:
-            if not _DATE_SHAPE.fullmatch(date_text):
-                raise ValueError
-            date = datetime.date.fromisoformat(date_text)
-        except ValueError:
-            raise invalid(path, lineno, cells, 1, "ISO date") from None
-        close = finite(path, lineno, cells, 2, "price")
-        if close <= 0:
-            raise ParseError(f"{path}: line {lineno}: price must be strictly positive, got {close}")
-        key = (stock_id, date)
-        if previous_key is not None and key <= previous_key:
-            raise ParseError(
-                f"{path}: line {lineno}: rows must be strictly sorted by (stock_id, date)"
-            )
-        if previous_key is None or stock_id != previous_key[0]:
-            stock_ids.append(stock_id)
-            firsts.append(len(years))
-        if previous_key is None or stock_id != previous_key[0] or date.year != previous_key[1].year:
-            years.append(date.year)
-            starts.append(len(closes))
-        previous_key = key
-        closes.append(close)
-    return _Prices(
-        np.array(closes, dtype=float), np.array([*starts, len(closes)], dtype=np.intp),
-        np.array(years, dtype=np.int64), stock_ids, np.array([*firsts, len(years)], dtype=np.intp),
-    )
+def _years(keys: np.ndarray) -> np.ndarray:
+    """The numbers whose decimal digits are the four high bytes of XORed date keys."""
+    return (keys >> 56 & 0xF) * 1000 + (keys >> 48 & 0xF) * 100 + (keys >> 40 & 0xF) * 10 + (keys >> 32 & 0xF)
 
 
 # A CAPM row as numpy's tokenizer stores it: the id cell as NUL-padded bytes, then

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import datetime
 import math
+import re
 from itertools import groupby
 from typing import NamedTuple
 
@@ -10,6 +12,7 @@ import numpy as np
 from scipy import integrate
 
 from driftbias import pipeline
+from driftbias._csv import finite, invalid, read_rows
 from driftbias.conditional import ConditionalQuery, Direction, conditional_nu
 from driftbias.errors import DegenerateConditionError, InsufficientDataError, ParseError
 from driftbias.pipeline import StockDataset
@@ -127,6 +130,52 @@ def weight_expansion(config: SmoothingConfig, t: int) -> np.ndarray:
     return weights
 
 
+# The date shape the row loop takes: from Python 3.11 on date.fromisoformat
+# also takes "20110103", "2011-W01-1" and more.
+DATE_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def read_price_rows(path: str) -> pipeline._Prices:
+    """The prices file read row by row; the reference for ``pipeline._read_prices``."""
+    closes: list[float] = []
+    years: list[int] = []
+    starts: list[int] = []
+    stock_ids: list[str] = []
+    firsts: list[int] = []
+    previous_key: tuple[str, datetime.date] | None = None
+    for lineno, cells in read_rows(path, pipeline.PRICES_HEADER):
+        stock_id = cells[0].strip()
+        if not stock_id:
+            raise ParseError(f"{path}: line {lineno}, column 1: empty stock_id")
+        date_text = cells[1].strip()
+        try:
+            if not DATE_SHAPE.fullmatch(date_text):
+                raise ValueError
+            date = datetime.date.fromisoformat(date_text)
+        except ValueError:
+            raise invalid(path, lineno, cells, 1, "ISO date") from None
+        close = finite(path, lineno, cells, 2, "price")
+        if close <= 0:
+            raise ParseError(f"{path}: line {lineno}: price must be strictly positive, got {close}")
+        key = (stock_id, date)
+        if previous_key is not None and key <= previous_key:
+            raise ParseError(
+                f"{path}: line {lineno}: rows must be strictly sorted by (stock_id, date)"
+            )
+        if previous_key is None or stock_id != previous_key[0]:
+            stock_ids.append(stock_id)
+            firsts.append(len(years))
+        if previous_key is None or stock_id != previous_key[0] or date.year != previous_key[1].year:
+            years.append(date.year)
+            starts.append(len(closes))
+        previous_key = key
+        closes.append(close)
+    return pipeline._Prices(
+        np.array(closes, dtype=float), np.array([*starts, len(closes)], dtype=np.intp),
+        np.array(years, dtype=np.int64), stock_ids, np.array([*firsts, len(years)], dtype=np.intp),
+    )
+
+
 class _Segments(NamedTuple):
     """A prices file as the reference ingest reads it: one id per (stock, year) segment."""
 
@@ -140,10 +189,11 @@ def reference_ingest(prices_path: str, capm_path: str, config: pipeline.Pipeline
     """``pipeline.ingest`` as one loop over the stocks, checking and building
     each stock's StockDataset in turn; the reference for the columnar checks.
 
-    It reads both files with the package's readers, then gives each prices
-    segment its stock id and joins the CAPM rows through an (id, year) dict.
+    It reads the prices with the row loop and the CAPM file with the
+    package's reader, then gives each prices segment its stock id and joins
+    the CAPM rows through an (id, year) dict.
     """
-    columns = pipeline._read_prices(prices_path)
+    columns = read_price_rows(prices_path)
     counts = np.diff(columns.firsts).tolist()
     prices = _Segments(
         columns.closes,

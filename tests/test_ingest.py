@@ -7,7 +7,7 @@ Random pairs have year gaps, one-close periods, missing, duplicate and
 extra CAPM rows, drifting betas (and a beta of 0.0 in one year, -0.0 in
 another, which is one beta), CAPM rows out of order and years no date
 has. Each pair is read with every mix of plain and CRLF files, and CRLF
-sends a file through the row-loop reader.
+sends a file through the reader's row-by-row path.
 
 The portfolio ``ingest`` returns must score to the same bits as the list
 of its ``StockDataset`` views and as the reference's list.

@@ -1,18 +1,19 @@
 """The prices reader against its row-by-row reference.
 
-``pipeline._read_prices`` must return what ``pipeline._read_price_rows``
+``pipeline._read_prices`` must return what ``oracles.read_price_rows``
 returns for every file: the same columns, closes bit for bit, or the same
 error with the same text. Random files start valid and then take a few
-edits, among them every shape that a column-wise reader must leave to the
-row loop: blank and whitespace-only lines, CRLF line ends, padded cells,
-``1_0`` and full-width digits, non-ASCII and over-long ids, dates that
-are not exactly ``dddd-dd-dd``, stray control characters and bytes that
-are not UTF-8.
+edits, among them every shape that numpy's tokenizer must leave to the
+tokeniser over ``read_rows``: blank and whitespace-only lines, CRLF line
+ends, padded cells, ``1_0`` and full-width digits, non-ASCII and
+over-long ids, dates that are not exactly ``dddd-dd-dd``, stray control
+characters and bytes that are not UTF-8.
 """
 
 import datetime
 import pathlib
 import tempfile
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 
 from driftbias import _csv, pipeline
 from driftbias.errors import ParseError
+from oracles import DATE_SHAPE, read_price_rows
 
 ID_CHARS = st.sampled_from("0123456789ABCXYZabz-._ ")
 CLOSE_TEXTS = st.one_of(
@@ -119,16 +121,21 @@ def test_reader_matches_row_loop(data):
     with tempfile.TemporaryDirectory() as directory:
         path = pathlib.Path(directory) / "prices.csv"
         path.write_bytes(data)
-        assert outcome(pipeline._read_prices, str(path)) == outcome(pipeline._read_price_rows, str(path))
+        assert outcome(pipeline._read_prices, str(path)) == outcome(read_price_rows, str(path))
 
 
 FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "prices.csv"
 
 
 def column_wise(path):
-    """Whether ``_read_prices`` reads ``path`` column-wise rather than row by row."""
-    table = _csv.read_table(str(path), pipeline.PRICES_HEADER, pipeline._PRICE_DTYPE)
-    return table is not None and pipeline._price_columns(table) is not None
+    """Whether ``_read_prices`` reads ``path`` from numpy's tokens alone, never
+    calling ``read_rows``."""
+    with mock.patch.object(pipeline, "read_rows", side_effect=AssertionError):
+        try:
+            pipeline._read_prices(str(path))
+        except AssertionError:
+            return False
+    return True
 
 
 def test_a_file_without_rows_is_not_read_column_wise(tmp_path):
@@ -142,7 +149,7 @@ def test_names_numpy_would_decompress_go_to_the_row_loop(tmp_path, name):
     path = tmp_path / name
     path.write_text("stock_id,date,close\nA,2011-01-01,1.0\nA,2011-01-02,1.5\n")
     assert not column_wise(path)
-    assert outcome(pipeline._read_prices, str(path)) == outcome(pipeline._read_price_rows, str(path))
+    assert outcome(pipeline._read_prices, str(path)) == outcome(read_price_rows, str(path))
     assert pipeline._read_prices(str(path)).closes.tolist() == [1.0, 1.5]
 
 
@@ -151,12 +158,12 @@ def test_plain_files_are_read_column_wise(tmp_path):
     path = tmp_path / "prices.csv"
     path.write_text("stock_id,date,close\nA B,2011-01-03,1.5\nA B,2011-12-30,2\nC,2011-01-03,1e2\n")
     assert column_wise(path)
-    assert outcome(pipeline._read_prices, str(path)) == outcome(pipeline._read_price_rows, str(path))
+    assert outcome(pipeline._read_prices, str(path)) == outcome(read_price_rows, str(path))
 
 
-# Rows numpy's tokenizer or date parser would take, cut or read otherwise
-# than the row loop does. Each sits between stocks A and B, so that only
-# the check it names can send the file to the row loop.
+# Rows numpy's tokenizer would take, cut or read otherwise than the row
+# loop does, or that break a rule. Each sits between stocks A and B, so
+# that only the check it names can send the file to ``read_rows``.
 @pytest.mark.parametrize(
     "row",
     [
@@ -173,7 +180,7 @@ def test_unusual_rows_go_to_the_row_loop(tmp_path, row):
     path = tmp_path / "prices.csv"
     path.write_bytes(f"stock_id,date,close\nA,2011-01-01,1.0\n{row}\nB,2011-01-01,1.0\n".encode())
     assert not column_wise(path)
-    assert outcome(pipeline._read_prices, str(path)) == outcome(pipeline._read_price_rows, str(path))
+    assert outcome(pipeline._read_prices, str(path)) == outcome(read_price_rows, str(path))
 
 
 @pytest.mark.parametrize(
@@ -185,7 +192,7 @@ def test_unusual_headers_go_to_the_row_loop(tmp_path, first_lines):
     path = tmp_path / "prices.csv"
     path.write_bytes(f"{first_lines}A,2011-01-01,1.0\nA,2011-01-02,1.5\n".encode())
     assert not column_wise(path)
-    assert outcome(pipeline._read_prices, str(path)) == outcome(pipeline._read_price_rows, str(path))
+    assert outcome(pipeline._read_prices, str(path)) == outcome(read_price_rows, str(path))
 
 
 @pytest.mark.parametrize("date", ["20110103", "2011-W01-1"])
@@ -201,7 +208,7 @@ def test_row_loop_takes_only_dashed_dates(tmp_path, date):
 def row_loop_year(cell):
     """The year the row loop reads from a date cell, or None where it rejects the cell."""
     text = cell.rstrip(b"\0").decode("latin-1")
-    if not pipeline._DATE_SHAPE.fullmatch(text):
+    if not DATE_SHAPE.fullmatch(text):
         return None
     try:
         return datetime.date.fromisoformat(text).year
@@ -224,9 +231,12 @@ def date_cells():
 
 def test_date_cells_match_the_row_loop():
     for cell in date_cells():
-        prices = pipeline._price_columns(np.array([(b"A", cell, 1.0)], dtype=pipeline._PRICE_DTYPE))
+        prices = pipeline._price_columns(np.array([True]), ["A"], np.frombuffer(cell, ">u8").reshape(1, 2), [1.0])
         year = row_loop_year(cell)
-        assert (None if prices is None else prices.years.tolist()) == (None if year is None else [year]), cell
+        if year is None:
+            assert prices == (0, "date"), cell
+        else:
+            assert prices.years.tolist() == [year], cell
 
 
 @pytest.mark.parametrize(
@@ -242,7 +252,7 @@ def test_two_dates_of_a_stock_must_rise(tmp_path, first, second):
     path = tmp_path / "prices.csv"
     path.write_text(f"stock_id,date,close\nA,{first},1.0\nA,{second},1.5\nB,{first},2.0\n")
     assert column_wise(path) == (first < second)
-    assert outcome(pipeline._read_prices, str(path)) == outcome(pipeline._read_price_rows, str(path))
+    assert outcome(pipeline._read_prices, str(path)) == outcome(read_price_rows, str(path))
 
 
 # Files whose first fault the row loop finds before a later one of another
@@ -272,7 +282,7 @@ HEADER, CRLF_HEADER = "stock_id,date,close\n", "stock_id,date,close\r\n"
 def test_first_fault_matches_the_row_loop(tmp_path, text, error):
     path = tmp_path / "prices.csv"
     path.write_bytes(text.encode())
-    expected = outcome(pipeline._read_price_rows, str(path))
+    expected = outcome(read_price_rows, str(path))
     assert outcome(pipeline._read_prices, str(path)) == expected
     if error is None:
         assert expected[2] == []
