@@ -21,6 +21,7 @@ period's nu_hat by squared deviation.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from itertools import chain, islice
@@ -712,7 +713,7 @@ def _read_prices(path: str) -> _Prices:
             prices = _price_columns(new_stock, stock_ids, words[:, 2:4], table["close"])
             if isinstance(prices, _Prices):
                 return prices
-    stock_ids, stock_rows, dates, closes, held = [], [], bytearray(), [], None
+    stock_ids, stock_rows, dates, closes, held = [], [], bytearray(), array("d"), None
     try:
         for _, cells in read_rows(path, PRICES_HEADER):
             stock_id, date, close = (cell.strip() for cell in cells)
@@ -747,7 +748,7 @@ def _read_prices(path: str) -> _Prices:
 
 
 def _price_columns(
-    new_stock: np.ndarray, stock_ids: list[str], dates: np.ndarray, closes: np.ndarray | list[float]
+    new_stock: np.ndarray, stock_ids: list[str], dates: np.ndarray, closes: np.ndarray | array
 ) -> _Prices | tuple[int, str]:
     """The columns of a tokenised prices file, or the first row the row loop
     refuses together with the first rule that row breaks, in the row loop's
