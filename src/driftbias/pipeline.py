@@ -750,9 +750,9 @@ def _read_prices(path: str) -> _Prices:
 def _price_columns(
     new_stock: np.ndarray, stock_ids: list[str], dates: np.ndarray, closes: np.ndarray | array
 ) -> _Prices | tuple[int, str]:
-    """The columns of a tokenised prices file, or the first row the row loop
-    refuses together with the first rule that row breaks, in the row loop's
-    order: "id" (empty), "date", "close" (finite and positive) and "order".
+    """The columns of a tokenised prices file, or its first refused row
+    together with the first rule that row breaks, the rules tested in the
+    order "id" (empty), "date", "close" (finite and positive) and "order".
 
     A row starts a stock where ``new_stock`` is set, and ``stock_ids`` are the
     ids of those rows. ``dates`` holds each row's date cell as two big-endian
