@@ -696,10 +696,10 @@ def _read_prices(path: str) -> _Prices:
 
     numpy's tokenizer reads a plain file whose ids are stripped and fit
     their field; ``read_rows`` reads any other file, and a plain one that
-    fails a check, with every cell stripped. ``_price_columns`` checks
-    either's tokens, and a refused row's message is built from that row as
-    ``read_rows`` gives it. A width or header error of ``read_rows`` is
-    raised only when no row before it is refused.
+    fails a check, with its id and date cells stripped. ``_price_columns``
+    checks either's tokens, and a refused row's message is built from that
+    row as ``read_rows`` gives it. A width or header error of ``read_rows``
+    is raised only when no row before it is refused.
     """
     table = read_table(path, PRICES_HEADER, _PRICE_DTYPE)
     if table is not None:
@@ -716,14 +716,14 @@ def _read_prices(path: str) -> _Prices:
     stock_ids, stock_rows, dates, closes, held = [], [], bytearray(), array("d"), None
     try:
         for _, cells in read_rows(path, PRICES_HEADER):
-            stock_id, date, close = (cell.strip() for cell in cells)
+            stock_id, date = cells[0].strip(), cells[1].strip()
             if not stock_ids or stock_id != stock_ids[-1]:
                 stock_ids.append(stock_id)
                 stock_rows.append(len(closes))
             # Any other cell is no date, and sixteen NULs fail the date check.
             dates += (date.encode() if len(date) == 10 and date.isascii() else b"").ljust(16, b"\0")
             try:
-                closes.append(float(close))
+                closes.append(float(cells[2]))  # the raw cell, as finite() reads it: float() strips no \x1f
             except ValueError:
                 closes.append(math.nan)
     except ParseError as error:  # a header or width error waits for the rows before it

@@ -174,6 +174,7 @@ def test_plain_files_are_read_column_wise(tmp_path):
         "AA,2011-01-01,\x0c1.5", "AA,2011-01-01,\t1.5", "AA,2011-01-01,１", "é,2011-01-01,1.5",
         "AA,2011-01-01,nan", "AA,2011-01-01,1e400", "AA,2011-01-01,0", "AA,2011-01-01,-1",
         "A,2010-12-31,1.5", "A,2011-01-01,1.5", "0,2011-01-01,1.5", "AA,2011-01-01,1,5",
+        "AA,2011-01-01,1.5\x1f", "AA,2011-01-01,\x1f1.5",
     ],
 )
 def test_unusual_rows_go_to_the_row_loop(tmp_path, row):
