@@ -55,6 +55,15 @@ def test_fixture_report_with_fitted_alpha_matches_golden(capsys, tmp_path):
     assert out == (GOLDEN / "fixture_report_fit_alpha.csv").read_bytes()
 
 
+def test_fixture_report_with_constant_benchmark_matches_golden(capsys, tmp_path):
+    text = (FIXTURES / "pipeline.cfg").read_text()
+    assert "benchmark_mode = per_period" in text
+    config = tmp_path / "pipeline.cfg"
+    config.write_text(text.replace("benchmark_mode = per_period", "benchmark_mode = constant\nconstant_c = 0.05"))
+    out = cli_stdout(capsys, pipeline_argv(config))
+    assert out == (GOLDEN / "fixture_report_constant.csv").read_bytes()
+
+
 @pytest.mark.parametrize("direction", ["above", "at_or_below"])
 def test_surface_matches_golden(capsys, direction):
     out = cli_stdout(capsys, SURFACE_ARGV + ["--direction", direction])
