@@ -267,26 +267,14 @@ def capm_benchmark(risk_free: float, beta: float, market_return_expectation: flo
 # per-stock calls are the one-stock case of the same code.
 
 
-class _Columns(NamedTuple):
-    """The periods of some stocks as columns: the closes of every period in
-    one array, and each period's number of closes, step and benchmark C."""
-
-    closes: np.ndarray
-    sizes: np.ndarray
-    step_h: np.ndarray
-    benchmark: np.ndarray
-
-
-def _columns(portfolio: _Portfolio, config: PipelineConfig) -> _Columns:
-    """Every period of ``portfolio`` as columns, stock after stock."""
-    counts = np.diff(portfolio.firsts)
+def _benchmark(
+    beta: float | np.ndarray, risk_free: np.ndarray, market: np.ndarray, config: PipelineConfig
+) -> np.ndarray:
+    """Each period's benchmark C: ``constant_c``, or the CAPM rate of the period's inputs."""
     if config.benchmark_mode == "constant":
-        benchmark = np.full(portfolio.risk_free.size, float(config.constant_c))
-    else:
-        beta = np.repeat(portfolio.beta, counts)
-        with np.errstate(over="ignore", invalid="ignore"):  # huge rates give C = +-inf or nan
-            benchmark = capm_benchmark(portfolio.risk_free, beta, portfolio.market_return_expectation)
-    return _Columns(portfolio.closes, np.diff(portfolio.offsets), np.repeat(portfolio.step_h, counts), benchmark)
+        return np.full(risk_free.size, float(config.constant_c))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge rates give C = +-inf or nan
+        return capm_benchmark(risk_free, beta, market)
 
 
 def _gates(
@@ -303,37 +291,26 @@ def _gates(
     """
     with np.errstate(invalid="ignore"):  # a negative sigma2_hat gives nan, which is refused
         sigma = np.sqrt(sigma2_hat)
+    # Only a sigma or d that is refused below divides by 0, overflows or makes nan here.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        expectation, d, past_guard = _closed_form(nu_hat, sigma, 1.0, benchmark, Direction.ABOVE)
     opened = ~(realized_return <= benchmark)
-    valid = opened & np.isfinite(sigma) & (sigma > 0)
-    # Only a d that is not finite overflows or makes nan here, and it is marked.
-    with np.errstate(over="ignore", invalid="ignore"):
-        expectation, d, past_guard = _closed_form(
-            nu_hat[valid], sigma[valid], 1.0, benchmark[valid], Direction.ABOVE
-        )
-    degenerate = past_guard | ~np.isfinite(d)
-    invested = valid.copy()
-    invested[valid] = ~degenerate
-    nu_tilde = np.zeros(invested.shape)
-    nu_tilde[invested] = expectation[~degenerate]
-    return invested, nu_tilde, opened & ~invested
+    invested = opened & np.isfinite(sigma) & (sigma > 0) & np.isfinite(d) & ~past_guard
+    return invested, np.where(invested, expectation, 0.0), opened & ~invested
 
 
 def _thread_gates(
-    realized_return: np.ndarray, benchmark: np.ndarray, nu_hat: np.ndarray, sigma2_hat: np.ndarray,
-    counts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each period's (invested, nu_tilde, degenerate), decided by the
-    period before it in its stock, and each stock's next raw forecast.
+    gates: tuple[np.ndarray, np.ndarray, np.ndarray], firsts: np.ndarray | int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each period's (invested, nu_tilde, degenerate): the gate of the period
+    before it in its stock. Stocks start at ``firsts``.
 
     A stock's first period has no prior performance: not invested, nu_tilde = 0.
     """
-    gate = _gates(realized_return, benchmark, nu_hat, sigma2_hat)
-    ends = np.cumsum(counts)
-    firsts = ends - counts
-    invested, nu_tilde, degenerate = (np.concatenate((values[:1], values[:-1])) for values in gate)
+    invested, nu_tilde, degenerate = (np.concatenate((values[:1], values[:-1])) for values in gates)
     invested[firsts] = degenerate[firsts] = False
     nu_tilde[firsts] = 0.0
-    return invested, nu_tilde, degenerate, gate[1][ends - 1]
+    return invested, nu_tilde, degenerate
 
 
 _FIT_GRID = np.sort(np.array(DEFAULT_FIT_GRID))
@@ -382,21 +359,28 @@ def _reports(
     return reports
 
 
-def _score(
-    stock_ids: Sequence[str], columns: _Columns, counts: np.ndarray, config: PipelineConfig
-) -> list[ForecastReport]:
-    """The reports of stocks of ``counts[s]`` periods each, the last one the
-    holdout; ``score_and_report`` must accept every stock."""
-    nu_hat, sigma2_hat, realized = _estimate_segments(columns.closes, columns.sizes, columns.step_h)
-    holdout = np.cumsum(counts) - 1
-    sample = np.ones(nu_hat.size, dtype=bool)
-    sample[holdout] = False
-    nu_hat_sample = nu_hat[sample]
-    invested, nu_tilde, _, raw_next = _thread_gates(
-        realized[sample], columns.benchmark[sample], nu_hat_sample, sigma2_hat[sample], counts - 1
+def _score(stocks: _Portfolio, valid: int, config: PipelineConfig) -> list[ForecastReport]:
+    """The reports of the first ``valid`` stocks, each one's last period the
+    holdout; ``score_and_report`` must accept every one of them.
+
+    The gates are threaded through the holdouts too, so each raw forecast
+    is the nu_tilde of its stock's holdout.
+    """
+    firsts = stocks.firsts[: valid + 1]
+    counts = np.diff(firsts)
+    periods = int(firsts[-1])
+    nu_hat, sigma2_hat, realized = _estimate_segments(
+        stocks.closes[: stocks.offsets[periods]], np.diff(stocks.offsets[: periods + 1]),
+        np.repeat(stocks.step_h[:valid], counts),
     )
-    bias = np.where(invested, nu_tilde - nu_hat_sample, 0.0)
-    return _reports(stock_ids, bias, counts - 1, raw_next, nu_hat[holdout], config)
+    benchmark = _benchmark(
+        np.repeat(stocks.beta[:valid], counts), stocks.risk_free[:periods],
+        stocks.market_return_expectation[:periods], config,
+    )
+    invested, nu_tilde, _ = _thread_gates(_gates(realized, benchmark, nu_hat, sigma2_hat), firsts[:-1])
+    holdout = firsts[1:] - 1
+    bias = np.delete(np.where(invested, nu_tilde - nu_hat, 0.0), holdout)
+    return _reports(stocks.stock_ids[:valid], bias, counts - 1, nu_tilde[holdout], nu_hat[holdout], config)
 
 
 def build_period_records(
@@ -427,12 +411,13 @@ def _records_and_forecast(data: StockDataset, config: PipelineConfig) -> tuple[l
         raise InsufficientDataError(
             f"stock {data.stock_id}: need at least 2 periods, got {data.n_periods}"
         )
-    columns = _columns(_portfolio([data]), config)
-    nu_hat, sigma2_hat, realized = _estimate_segments(columns.closes, columns.sizes, columns.step_h)
-    *gates, raw_next = _thread_gates(realized, columns.benchmark, nu_hat, sigma2_hat, np.array([data.n_periods]))
-    values = (nu_hat, sigma2_hat, realized, columns.benchmark, *gates)
+    nu_hat, sigma2_hat, realized = _estimate_segments(data.closes, np.diff(data.offsets), float(data.step_h))
+    risk_free, market = np.array([data.risk_free, data.market_return_expectation], dtype=float)
+    benchmark = _benchmark(float(data.beta), risk_free, market, config)
+    gates = _gates(realized, benchmark, nu_hat, sigma2_hat)
+    values = (nu_hat, sigma2_hat, realized, benchmark, *_thread_gates(gates, 0))
     rows = zip(*(column.tolist() for column in values))
-    return [PeriodRecord(index, *row) for index, row in enumerate(rows)], float(raw_next[0])
+    return [PeriodRecord(index, *row) for index, row in enumerate(rows)], float(gates[1][-1])
 
 
 def score_records(
@@ -502,18 +487,12 @@ def score_portfolio(
         stocks = _portfolio(sorted(datasets, key=lambda item: item.stock_id))
     reports: list[ForecastReport] = []
     if len(stocks):
-        columns = _columns(stocks, config)
-        counts = np.diff(stocks.firsts)
-        shortest = np.minimum.reduceat(columns.sizes, stocks.firsts[:-1]) - 1
+        shortest = np.minimum.reduceat(np.diff(stocks.offsets), stocks.firsts[:-1]) - 1
         # Exactly the stocks that score_and_report refuses are not scorable.
-        scorable = (counts >= 4) & (shortest >= 2)
+        scorable = (np.diff(stocks.firsts) >= 4) & (shortest >= 2)
         valid = len(stocks) if scorable.all() else int(np.argmin(scorable))
         if valid:
-            periods = int(stocks.firsts[valid])
-            prefix = _Columns(
-                columns.closes[: stocks.offsets[periods]], *(column[:periods] for column in columns[1:])
-            )
-            reports = _score(stocks.stock_ids[:valid], prefix, counts[:valid], config)
+            reports = _score(stocks, valid, config)
         if valid < len(stocks):
             score_and_report(*split_holdout(stocks[valid]), config)
     # fsum is exact, so the totals do not depend on the interpreter's own float sum.
