@@ -475,7 +475,7 @@ def score_portfolio(
     scored raises what ``score_and_report`` raises for it, after the
     stocks before it in id order were scored. What ``ingest`` returns is
     scored as it stands, in id order; any other sequence is sorted by id
-    into one first.
+    into one first. Totals past the float range raise ValueError.
 
     Returns:
         The per-stock reports ordered by stock id plus the totals
@@ -496,11 +496,17 @@ def score_portfolio(
         if valid < len(stocks):
             score_and_report(*split_holdout(stocks[valid]), config)
     # fsum is exact, so the totals do not depend on the interpreter's own float sum.
-    totals = (
-        math.fsum(report.sd_raw for report in reports),
-        math.fsum(report.sd_simple for report in reports),
-        math.fsum(report.sd_es for report in reports),
-    )
+    try:
+        totals = (
+            math.fsum(report.sd_raw for report in reports),
+            math.fsum(report.sd_simple for report in reports),
+            math.fsum(report.sd_es for report in reports),
+        )
+    except OverflowError:
+        raise ValueError(
+            "the summed squared forecast deviations overflow; "
+            f"h_per_year = {float(config.h_per_year):g} is far from a sampling rate"
+        ) from None
     return reports, totals
 
 
@@ -887,5 +893,5 @@ def report_summary(reports: Sequence[ForecastReport], totals: tuple[float, float
     lines = [f"scored {len(reports)} stocks against their holdout periods"]
     lines.append(f"total squared deviation: raw {raw:.6g}, simple {simple:.6g}, smoothed {es:.6g}")
     if raw > 0:
-        lines.append(f"smoothed adjustment changes the raw deviation by {100.0 * (es - raw) / raw:+.2f}%")
+        lines.append(f"smoothed adjustment changes the raw deviation by {(es - raw) / raw * 100.0:+.2f}%")
     return "\n".join(lines) + "\n"

@@ -278,6 +278,20 @@ def test_pipeline_fixture_ordering(capsys):
     assert "scored 10 stocks" in err
 
 
+@pytest.mark.parametrize(
+    "value, change",
+    [(252, "-97.68%"), (10**157, "+610.03%")],
+    ids=["fixture", "totals_near_float_max"],
+)
+def test_pipeline_recap_states_the_smoothed_change(capsys, tmp_path, value, change):
+    # At h_per_year = 10**157 the totals are 6.62e306 and 4.70e307, so
+    # 100 times their difference overflows where the ratio does not.
+    text = (FIXTURES / "pipeline.cfg").read_text()
+    code, _, err = run_fixture_pipeline(capsys, tmp_path, text.replace("h_per_year = 252", f"h_per_year = {value}"))
+    assert code == 0
+    assert err.splitlines()[-1] == f"smoothed adjustment changes the raw deviation by {change}"
+
+
 def test_pipeline_out_flag(capsys, tmp_path):
     report = tmp_path / "report.csv"
     code, out, _ = run_cli(
@@ -350,16 +364,19 @@ def test_pipeline_rejects_constant_c_outside_constant_mode(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "zeros, expected_code, text",
+    "value, expected_code, text",
     [
-        (400, 2, "config: h_per_year does not convert to a float"),
-        (300, 2, "stock 100001: a squared forecast deviation overflows; "
-                 "h_per_year = 1e+300 is far from a sampling rate"),
+        (10**400, 2, "config: h_per_year does not convert to a float"),
+        (10**300, 2, "stock 100001: a squared forecast deviation overflows; "
+                     "h_per_year = 1e+300 is far from a sampling rate"),
+        # Each stock's deviations are finite, but their sum is not.
+        (3 * 10**157, 2, "the summed squared forecast deviations overflow; "
+                         "h_per_year = 3e+157 is far from a sampling rate"),
     ],
-    ids=["past_float_range", "overflowing_deviations"],
+    ids=["past_float_range", "overflowing_deviations", "overflowing_totals"],
 )
-def test_pipeline_reports_huge_h_per_year_in_one_line(capsys, tmp_path, zeros, expected_code, text):
-    code, out, err = run_fixture_pipeline(capsys, tmp_path, f"h_per_year = 1{'0' * zeros}\n")
+def test_pipeline_reports_huge_h_per_year_in_one_line(capsys, tmp_path, value, expected_code, text):
+    code, out, err = run_fixture_pipeline(capsys, tmp_path, f"h_per_year = {value}\n")
     assert code == expected_code
     assert out == ""
     assert err.startswith("error: ") and text in err and err.count("\n") == 1
