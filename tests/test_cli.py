@@ -307,6 +307,55 @@ def test_pipeline_out_flag(capsys, tmp_path):
     assert report.read_text().splitlines()[0].startswith("stock_id,")
 
 
+def small_inputs(tmp_path):
+    """A 60-step simulated price path and a value file of its closes."""
+    path = gbm.simulate_gbm(gbm.GbmParams(mu=0.1, sigma=0.3), a0=100.0, T=1.0, n=60, seed=1)
+    prices = tmp_path / "path.csv"
+    prices.write_text(gbm.write_price_csv(path))
+    return str(prices), write_values(tmp_path, [repr(price) for price in path.prices.tolist()])
+
+
+# Each command's header line and arguments, on small inputs.
+OUT_RUNS = {
+    "simulate": ("date_index,price",
+                 ["--mu", "0.1", "--sigma", "0.3", "--a0", "100", "--T", "1", "--n", "60", "--seed", "1"]),
+    "estimate": ("nu_hat,sigma2_hat,n,T", ["--prices", "{prices}", "--h-per-year", "60"]),
+    "conditional": ("expectation,tail_probability,bias,mills_argument",
+                    ["--nu", "0.05", "--sigma", "0.3", "--T", "1", "--C", "0", "--direction", "above"]),
+    "surface": ("mu,C,expectation,bias,flag",
+                ["--mu-min", "-1", "--mu-max", "1", "--mu-steps", "3", "--c-min", "-1", "--c-max", "1",
+                 "--c-steps", "3", "--sigma", "0.3", "--T", "1", "--direction", "at_or_below"]),
+    "limits": ("nu,direction,limit", ["--nu", "0.05", "--direction", "at_or_below"]),
+    "smooth": ("value,forecast", ["--input", "{values}", "--fit"]),
+    "diagnose": ("lag,acf,pacf", ["--input", "{values}", "--lags", "5"]),
+    "pipeline": ("stock_id,nu_hat", ["--prices", str(FIXTURES / "prices.csv"), "--capm", str(FIXTURES / "capm.csv"),
+                                     "--config", str(FIXTURES / "pipeline.cfg")]),
+}
+
+
+@pytest.mark.parametrize("command", list(OUT_RUNS))
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, command):
+    header, args = OUT_RUNS[command]
+    prices, values = small_inputs(tmp_path)
+    argv = [command, *(arg.format(prices=prices, values=values) for arg in args)]
+    code, out, err = run_cli(capsys, *argv)
+    target = tmp_path / "out.csv"
+    out_code, out_stdout, out_err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out_code) == (0, 0)
+    assert out.startswith(header)
+    assert out_stdout == ""
+    assert target.read_bytes() == out.encode("utf-8")
+    assert out_err == err
+
+
+def test_smooth_fit_into_a_directory_writes_only_its_error(capsys, tmp_path):
+    # The fitted alpha note must not come before or after the error line.
+    _, values = small_inputs(tmp_path)
+    code, out, err = run_cli(capsys, "smooth", "--input", values, "--fit", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "alpha=" not in err
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "driftbias", "limits", "--nu", "0.3", "--direction", "above"],
