@@ -329,7 +329,7 @@ def _reports(
 
     Raises:
         ValueError: a stock's bias series is not finite, as from fit_alpha or
-            smooth, or a squared deviation overflows.
+            smooth, or a report value is not finite or its square overflows.
     """
     ends = np.cumsum(counts)
     firsts = ends - counts
@@ -350,11 +350,14 @@ def _reports(
         simple, es = raw - last_bias, raw - forecast
         try:
             deviations = ((raw - holdout) ** 2, (simple - holdout) ** 2, (es - holdout) ** 2)
+            fault = "" if all(map(math.isfinite, deviations)) else "the holdout estimate or a forecast is not finite"
         except OverflowError:
+            fault = "a squared forecast deviation overflows"
+        if fault:
             raise ValueError(
-                f"stock {stock_id}: a squared forecast deviation overflows; "
+                f"stock {stock_id}: {fault}; "
                 f"h_per_year = {float(config.h_per_year):g} is far from a sampling rate"
-            ) from None
+            )
         reports.append(ForecastReport(stock_id, holdout, raw, simple, es, *deviations))
     return reports
 

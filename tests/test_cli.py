@@ -540,6 +540,25 @@ def test_pipeline_overflowing_estimate_prints_only_its_error(tmp_path):
                              "h_per_year = 1e+307 is far from a sampling rate\n")
 
 
+def test_pipeline_infinite_holdout_estimate_prints_only_its_error(capsys, tmp_path):
+    # A holdout nu_hat of inf squares to inf without an OverflowError; the
+    # report once printed inf cells, a +nan% recap and exited 0.
+    lines = (FIXTURES / "prices.csv").read_text().splitlines()
+    kept = [lines[0], *(line for line in lines[1:] if line.startswith("100001,"))]
+    first = next(k for k, line in enumerate(kept) if line.startswith("100001,2019-"))
+    for at, close in ((first, "1e-300"), (-1, "1e300")):
+        kept[at] = kept[at].rsplit(",", 1)[0] + "," + close
+    prices = tmp_path / "prices.csv"
+    prices.write_text("\n".join(kept) + "\n")
+    config = tmp_path / "pipeline.cfg"
+    config.write_text((FIXTURES / "pipeline.cfg").read_text().replace("h_per_year = 252", f"h_per_year = {10**307}"))
+    code, out, err = run_cli(capsys, "pipeline", "--prices", str(prices), "--capm", str(FIXTURES / "capm.csv"),
+                             "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err == ("error: stock 100001: the holdout estimate or a forecast is not finite; "
+                   "h_per_year = 1e+307 is far from a sampling rate\n")
+
+
 def run_pipeline(capsys, prices=FIXTURES / "prices.csv", capm=FIXTURES / "capm.csv"):
     return run_cli(
         capsys,
