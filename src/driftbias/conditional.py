@@ -168,9 +168,9 @@ def _check_scale(sigma: float, T: float, direction: Direction, excess: Sequence[
 
 
 def _closed_form(
-    nu: float | np.ndarray, sigma: float, T: float, C: float | np.ndarray, direction: Direction
+    nu: float | np.ndarray, sigma: float | np.ndarray, T: float, C: float | np.ndarray, direction: Direction
 ):
-    """The module docstring's formula for floats or for arrays of nu and C.
+    """The module docstring's formula for floats or for arrays of nu, sigma and C.
 
     z = d for ABOVE and -d for AT_OR_BELOW measures the threshold into the
     conditioned side, so the event probability is Phi(-z) and the inverse
@@ -179,7 +179,7 @@ def _closed_form(
     the ratio neither underflows for large positive z nor cancels for
     negative z; erfcx overflows to inf below about -26.6, where the ratio
     correctly rounds to 0.0. The sign flips are exact. Only operators and
-    ufuncs touch nu and C; sigma and T are scalars.
+    ufuncs touch nu, sigma and C; only T must be a scalar.
 
     Returns:
         (expectation, d, degenerate), where degenerate marks |d| >
