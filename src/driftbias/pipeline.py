@@ -329,7 +329,7 @@ def _reports(
 
     Raises:
         ValueError: a stock's bias series is not finite, as from fit_alpha or
-            smooth, or a report value is not finite or its square overflows.
+            smooth, or a squared deviation overflows or is not finite.
     """
     ends = np.cumsum(counts)
     firsts = ends - counts
