@@ -313,14 +313,13 @@ def test_ssd_matches_direct_recomputation():
 
 def test_next_raw_forecast_closed_gate():
     # The last sample period (-0.2) misses C = 0.08, so no money enters the holdout.
-    sample, holdout = pipeline.split_holdout(make_dataset([0.5, 0.4, -0.2, 0.3]))
-    assert pipeline.score_and_report(sample, holdout).raw_conditional == 0.0
+    assert pipeline.score_portfolio([make_dataset([0.5, 0.4, -0.2, 0.3])])[0][0].raw_conditional == 0.0
 
 
 def test_next_raw_forecast_open_gate():
-    sample, holdout = pipeline.split_holdout(make_dataset([0.5, 0.4, 0.45, 0.3]))
-    report = pipeline.score_and_report(sample, holdout)
-    last = pipeline.build_period_records(sample)[-1]
+    data = make_dataset([0.5, 0.4, 0.45, 0.3])
+    report = pipeline.score_portfolio([data])[0][0]
+    last = pipeline.build_period_records(pipeline.split_holdout(data)[0])[-1]
     expected = ce.conditional_nu(
         ce.ConditionalQuery(
             nu=last.nu_hat,
@@ -369,10 +368,10 @@ def test_split_holdout():
         pipeline.split_holdout(make_dataset([0.5]))
 
 
-def test_score_and_report_end_to_end():
+def test_score_portfolio_one_stock_end_to_end():
     data = make_dataset([0.5, 0.4, 0.6, 0.45])
-    sample, holdout = pipeline.split_holdout(data)
-    report = pipeline.score_and_report(sample, holdout)
+    holdout = pipeline.split_holdout(data)[1]
+    report = pipeline.score_portfolio([data])[0][0]
     holdout_nu = gbm.estimate_unconditional(gbm.log_returns(holdout)).nu_hat
     assert report.holdout_nu_hat == holdout_nu
     assert report.sd_raw == (report.raw_conditional - holdout_nu) ** 2
@@ -596,5 +595,5 @@ def test_period_estimates_match_per_path_reference(sizes, h_per_year, seed):
         single = gbm.estimate_unconditional(gbm.log_returns(path))
         assert single.nu_hat == pytest.approx(nu_hat, rel=1e-12, abs=0.0)
         assert single.sigma2_hat == pytest.approx(sigma2_hat, rel=1e-12, abs=0.0)
-    report = pipeline.score_and_report(sample, holdout)
+    report = pipeline.score_portfolio([data])[0][0]
     assert report.holdout_nu_hat == pytest.approx(reference_estimate(holdout)[0], rel=1e-12, abs=0.0)

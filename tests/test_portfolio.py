@@ -6,8 +6,8 @@ time: ``estimate_unconditional(log_returns(path))`` for each period,
 ``conditional_nu`` for each open gate, ``fit_alpha`` and ``smooth`` for
 the bias series. Every ``ForecastReport`` field is compared bit for bit,
 and an invalid stock must raise the same exception, type and text, as
-the reference raises first. ``build_period_records`` and
-``score_and_report`` are checked against the same reference per stock.
+the reference raises first. ``build_period_records`` and a one-stock
+``score_portfolio`` are checked against the same reference per stock.
 
 Portfolios mix fixed and fitted alpha, both benchmark modes, 4-15
 periods per stock, flat (zero-variance) periods, gates whose threshold
@@ -194,7 +194,7 @@ def test_one_stock_calls_match_per_stock_reference(case):
     for data in datasets:
         if data.n_periods < 2:
             continue
-        sample, holdout = pipeline.split_holdout(data)
+        sample = pipeline.split_holdout(data)[0]
 
         def records():
             rows = pipeline.build_period_records(sample, config)
@@ -205,7 +205,7 @@ def test_one_stock_calls_match_per_stock_reference(case):
             return [bits(row) for row in reference_records(sample, config)[0]]
 
         assert outcome(records) == outcome(reference_rows)
-        assert outcome(lambda: report_bits(pipeline.score_and_report(sample, holdout, config))) == outcome(
+        assert outcome(lambda: report_bits(pipeline.score_portfolio([data], config)[0][0])) == outcome(
             lambda: bits(reference_report(data, config))
         )
 
@@ -256,3 +256,55 @@ def test_overflowing_estimates_match_reference(stocks, error, fit):
     assert reference[0] is error
     if len(stocks) == 2:
         assert [(record.invested, record.degenerate) for record in records[1:3]] == [(True, False), (False, True)]
+
+
+def flat_stock(stock_id, count):
+    """A scorable stock: flat periods, so every estimate is 0 and every gate shut."""
+    return make_stock(stock_id, [np.array([5.0, 5.0, 5.0])] * count, 1.0, 1.0, [0.0] * count, [0.0] * count)
+
+
+def write_portfolio(directory, stocks):
+    """The prices and CAPM files from which ``ingest`` reads ``stocks`` back."""
+    prices, capm = [pipeline.PRICES_HEADER], [pipeline.CAPM_HEADER]
+    for data in stocks:
+        bounds = data.offsets.tolist()
+        for k, year in enumerate(data.years):
+            for day, close in enumerate(data.closes[bounds[k] : bounds[k + 1]].tolist(), start=1):
+                prices.append(f"{data.stock_id},{year}-01-{day:02d},{close!r}")
+            capm.append(f"{data.stock_id},{year},{data.beta!r},{data.risk_free[k]!r},"
+                        f"{data.market_return_expectation[k]!r}")
+    paths = directory / "prices.csv", directory / "capm.csv"
+    for path, lines in zip(paths, (prices, capm)):
+        path.write_text("\n".join(lines) + "\n")
+    return paths
+
+
+# A stock that cannot be scored raises the first of its faults in the order
+# period count, sample size, a period with one return, record count. Each
+# refused stock B has a second fault later in that order, and follows a
+# scorable stock A. The last case's holdout nu_hat overflows at a step of
+# 1e-306 years, which would fail in scoring.
+@pytest.mark.parametrize(
+    "periods, h_per_year, text",
+    [
+        ([[1.0, 1.1]], 12, "stock B: need at least 2 periods to hold one out"),
+        ([[1.0, 1.1], [1.0, 1.2, 1.1]], 12, "stock B: need at least 2 periods, got 1"),
+        ([[1.0, 1.1, 1.3], [1.0, 1.2, 1.1], [1.0, 1.2]], 12,
+         "variance estimation needs n >= 2 returns, got 1"),
+        ([[1.0, 1.1, 1.3], [1.0, 1.2, 1.1], [1e-300, 1.0, 1e300]], 10**306,
+         "scoring needs >= 3 records, got 2"),
+    ],
+    ids=["one_period", "two_periods", "one_return", "three_periods"],
+)
+@pytest.mark.parametrize("source", ["datasets", "ingest"])
+def test_refusals_come_in_chain_order(tmp_path, periods, h_per_year, text, source):
+    config = pipeline.PipelineConfig(h_per_year=h_per_year)
+    count = len(periods)
+    refused = make_stock("B", [np.array(closes) for closes in periods], 1.0 / h_per_year, 1.0, [0.0] * count,
+                         [0.0] * count)
+    stocks = [flat_stock("A", 4), refused]
+    if source == "ingest":
+        stocks = pipeline.ingest(*map(str, write_portfolio(tmp_path, stocks)), config)
+    with pytest.raises(InsufficientDataError) as info:
+        pipeline.score_portfolio(stocks, config)
+    assert str(info.value) == text
