@@ -25,14 +25,14 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from itertools import chain, islice
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
 from ._csv import finite, invalid, read_rows, read_table
 from .conditional import Direction, _closed_form
 from .errors import InsufficientDataError, ParseError
-from .gbm import PricePath, _check_step, _estimate_segments, estimate_unconditional, log_returns
+from .gbm import PricePath, _check_step, _estimate_segments, _require_two_returns
 from .smoothing import DEFAULT_ALPHA, DEFAULT_FIT_GRID, _finite_series, _fit_alphas, _forecasts
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "capm_benchmark",
     "build_period_records",
     "score_records",
-    "score_and_report",
     "split_holdout",
     "score_portfolio",
     "load_config",
@@ -364,7 +363,7 @@ def _reports(
 
 def _score(stocks: _Portfolio, valid: int, config: PipelineConfig) -> list[ForecastReport]:
     """The reports of the first ``valid`` stocks, each one's last period the
-    holdout; ``score_and_report`` must accept every one of them.
+    holdout; ``_refuse`` must find no fault in any of them.
 
     The gates are threaded through the holdouts too, so each raw forecast
     is the nu_tilde of its stock's holdout.
@@ -403,13 +402,6 @@ def build_period_records(
         InsufficientDataError: fewer than two periods, or a period with
             fewer than two returns.
     """
-    return _records_and_forecast(data, config)[0]
-
-
-def _records_and_forecast(data: StockDataset, config: PipelineConfig) -> tuple[list[PeriodRecord], float]:
-    """``build_period_records``' records and, from the same gate pass, the
-    gated raw forecast for the period after the last one (0.0 when that
-    gate is closed or degenerate)."""
     if data.n_periods < 2:
         raise InsufficientDataError(
             f"stock {data.stock_id}: need at least 2 periods, got {data.n_periods}"
@@ -417,10 +409,9 @@ def _records_and_forecast(data: StockDataset, config: PipelineConfig) -> tuple[l
     nu_hat, sigma2_hat, realized = _estimate_segments(data.closes, np.diff(data.offsets), float(data.step_h))
     risk_free, market = np.array([data.risk_free, data.market_return_expectation], dtype=float)
     benchmark = _benchmark(float(data.beta), risk_free, market, config)
-    gates = _gates(realized, benchmark, nu_hat, sigma2_hat)
-    values = (nu_hat, sigma2_hat, realized, benchmark, *_thread_gates(gates, 0))
-    rows = zip(*(column.tolist() for column in values))
-    return [PeriodRecord(index, *row) for index, row in enumerate(rows)], float(gates[1][-1])
+    gates = _thread_gates(_gates(realized, benchmark, nu_hat, sigma2_hat), 0)
+    rows = zip(*(column.tolist() for column in (nu_hat, sigma2_hat, realized, benchmark, *gates)))
+    return [PeriodRecord(index, *row) for index, row in enumerate(rows)]
 
 
 def score_records(
@@ -432,23 +423,14 @@ def score_records(
 ) -> ForecastReport:
     """Score a given next-period raw forecast against the holdout estimate.
 
-    Split out from ``score_and_report`` so simulation studies can inject
-    their own raw forecast while reusing the adjustment arithmetic.
+    Simulation studies inject their own raw forecast here while reusing
+    the adjustment arithmetic.
     """
     if len(records) < 3:
         raise InsufficientDataError(f"scoring needs >= 3 records, got {len(records)}")
     bias = np.array([record.bias for record in records])
     counts = np.array([len(records)])
     return _reports([stock_id], bias, counts, np.array([raw_next]), np.array([holdout_nu_hat]), config)[0]
-
-
-def score_and_report(
-    data: StockDataset, holdout: PricePath, config: PipelineConfig = PipelineConfig()
-) -> ForecastReport:
-    """Build records from the sample periods and score the holdout period."""
-    records, raw_next = _records_and_forecast(data, config)
-    holdout_nu_hat = estimate_unconditional(log_returns(holdout)).nu_hat
-    return score_records(data.stock_id, records, raw_next, holdout_nu_hat, config)
 
 
 def split_holdout(data: StockDataset) -> tuple[StockDataset, PricePath]:
@@ -469,16 +451,28 @@ def split_holdout(data: StockDataset) -> tuple[StockDataset, PricePath]:
     return sample, PricePath(step_h=data.step_h, prices=data.closes[cut:])
 
 
+def _refuse(stocks: _Portfolio, s: int) -> NoReturn:
+    """Raise the first fault of stock ``s``, which cannot be scored, in ``score_portfolio``'s order."""
+    stock_id, first, end = stocks.stock_ids[s], *stocks.firsts[s : s + 2].tolist()
+    if end - first < 3:
+        held = " to hold one out" if end - first < 2 else ", got 1"
+        raise InsufficientDataError(f"stock {stock_id}: need at least 2 periods{held}")
+    _require_two_returns(int(np.diff(stocks.offsets[first : end + 1]).min()) - 1)
+    raise InsufficientDataError(f"scoring needs >= 3 records, got {end - first - 1}")
+
+
 def score_portfolio(
     datasets: Sequence[StockDataset], config: PipelineConfig = PipelineConfig()
 ) -> tuple[list[ForecastReport], tuple[float, float, float]]:
     """Score every stock (last period held out) and sum the deviations.
 
     All stocks are scored together, as columns. A stock that cannot be
-    scored raises what ``score_and_report`` raises for it, after the
-    stocks before it in id order were scored. What ``ingest`` returns is
-    scored as it stands, in id order; any other sequence is sorted by id
-    into one first. Totals past the float range raise ValueError.
+    scored raises InsufficientDataError, after the stocks before it in id
+    order were scored, for the first of its faults in this order: fewer
+    than 2 periods, exactly 2, a period with one return, exactly 3. What
+    ``ingest`` returns is scored as it stands, in id order; any other
+    sequence is sorted by id into one first. Totals past the float range
+    raise ValueError.
 
     Returns:
         The per-stock reports ordered by stock id plus the totals
@@ -491,13 +485,13 @@ def score_portfolio(
     reports: list[ForecastReport] = []
     if len(stocks):
         shortest = np.minimum.reduceat(np.diff(stocks.offsets), stocks.firsts[:-1]) - 1
-        # Exactly the stocks that score_and_report refuses are not scorable.
+        # Exactly the stocks in which _refuse finds a fault are not scorable.
         scorable = (np.diff(stocks.firsts) >= 4) & (shortest >= 2)
         valid = len(stocks) if scorable.all() else int(np.argmin(scorable))
         if valid:
             reports = _score(stocks, valid, config)
         if valid < len(stocks):
-            score_and_report(*split_holdout(stocks[valid]), config)
+            _refuse(stocks, valid)
     # fsum is exact, so the totals do not depend on the interpreter's own float sum.
     try:
         totals = (
