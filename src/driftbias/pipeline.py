@@ -317,7 +317,7 @@ _FIT_GRID = np.sort(np.array(DEFAULT_FIT_GRID))
 
 def _reports(
     stock_ids: Sequence[str], bias: np.ndarray, counts: np.ndarray, raw_next: np.ndarray,
-    holdout_nu_hat: np.ndarray, config: PipelineConfig,
+    holdout_nu_hat: np.ndarray, config: PipelineConfig, cause: str = "",
 ) -> list[ForecastReport]:
     """Score each stock's next raw forecast against its holdout estimate.
 
@@ -328,7 +328,8 @@ def _reports(
 
     Raises:
         ValueError: a stock's bias series is not finite, as from fit_alpha or
-            smooth, or a squared deviation overflows or is not finite.
+            smooth, or a squared deviation overflows or is not finite; the
+            latter's text ends with ``cause``.
     """
     ends = np.cumsum(counts)
     firsts = ends - counts
@@ -353,17 +354,15 @@ def _reports(
         except OverflowError:
             fault = "a squared forecast deviation overflows"
         if fault:
-            raise ValueError(
-                f"stock {stock_id}: {fault}; "
-                f"h_per_year = {float(config.h_per_year):g} is far from a sampling rate"
-            )
+            raise ValueError(f"stock {stock_id}: {fault}{cause}")
         reports.append(ForecastReport(stock_id, holdout, raw, simple, es, *deviations))
     return reports
 
 
-def _score(stocks: _Portfolio, valid: int, config: PipelineConfig) -> list[ForecastReport]:
+def _score(stocks: _Portfolio, valid: int, config: PipelineConfig, cause: str) -> list[ForecastReport]:
     """The reports of the first ``valid`` stocks, each one's last period the
-    holdout; ``_refuse`` must find no fault in any of them.
+    holdout; ``_refuse`` must find no fault in any of them. A squared
+    deviation that is not finite raises ValueError ending with ``cause``.
 
     The gates are threaded through the holdouts too, so each raw forecast
     is the nu_tilde of its stock's holdout.
@@ -382,7 +381,7 @@ def _score(stocks: _Portfolio, valid: int, config: PipelineConfig) -> list[Forec
     invested, nu_tilde, _ = _thread_gates(_gates(realized, benchmark, nu_hat, sigma2_hat), firsts[:-1])
     holdout = firsts[1:] - 1
     bias = np.delete(np.where(invested, nu_tilde - nu_hat, 0.0), holdout)
-    return _reports(stocks.stock_ids[:valid], bias, counts - 1, nu_tilde[holdout], nu_hat[holdout], config)
+    return _reports(stocks.stock_ids[:valid], bias, counts - 1, nu_tilde[holdout], nu_hat[holdout], config, cause)
 
 
 def build_period_records(
@@ -483,13 +482,14 @@ def score_portfolio(
     else:
         stocks = _portfolio(sorted(datasets, key=lambda item: item.stock_id))
     reports: list[ForecastReport] = []
+    cause = f"; h_per_year = {float(config.h_per_year):g} is far from a sampling rate"
     if len(stocks):
         shortest = np.minimum.reduceat(np.diff(stocks.offsets), stocks.firsts[:-1]) - 1
         # Exactly the stocks in which _refuse finds a fault are not scorable.
         scorable = (np.diff(stocks.firsts) >= 4) & (shortest >= 2)
         valid = len(stocks) if scorable.all() else int(np.argmin(scorable))
         if valid:
-            reports = _score(stocks, valid, config)
+            reports = _score(stocks, valid, config, cause)
         if valid < len(stocks):
             _refuse(stocks, valid)
     # fsum is exact, so the totals do not depend on the interpreter's own float sum.
@@ -500,10 +500,7 @@ def score_portfolio(
             math.fsum(report.sd_es for report in reports),
         )
     except OverflowError:
-        raise ValueError(
-            "the summed squared forecast deviations overflow; "
-            f"h_per_year = {float(config.h_per_year):g} is far from a sampling rate"
-        ) from None
+        raise ValueError("the summed squared forecast deviations overflow" + cause) from None
     return reports, totals
 
 

@@ -236,6 +236,18 @@ def test_score_records_needs_three_records():
         pipeline.score_records("000001", [make_record(), make_record(index=1)], 0.1, 0.1)
 
 
+@pytest.mark.parametrize(
+    "raw_next, fault",
+    [(math.inf, "the holdout estimate or a forecast is not finite"), (1e200, "a squared forecast deviation overflows")],
+)
+def test_score_records_names_only_the_fault(raw_next, fault):
+    # The caller gave no sampling rate, so the text blames none.
+    records = pipeline.build_period_records(make_dataset([-0.1, -0.2, -0.3]))
+    with pytest.raises(ValueError) as info:
+        pipeline.score_records("000001", records, raw_next, 0.0)
+    assert str(info.value) == f"stock 000001: {fault}"
+
+
 def test_simple_adjust_zero_bias_is_identity():
     records = pipeline.build_period_records(make_dataset([-0.1, -0.2, -0.3]))
     for raw in (0.0, 0.07, -0.3):
