@@ -32,7 +32,7 @@ import numpy as np
 from ._csv import finite, invalid, read_rows, read_table
 from .conditional import Direction, _closed_form
 from .errors import InsufficientDataError, ParseError
-from .gbm import PricePath, _check_step, _estimate_segments, _require_two_returns
+from .gbm import PricePath, _check_step, _estimate_segments
 from .smoothing import DEFAULT_ALPHA, DEFAULT_FIT_GRID, _finite_series, _fit_alphas, _forecasts
 
 __all__ = [
@@ -456,8 +456,11 @@ def _refuse(stocks: _Portfolio, s: int) -> NoReturn:
     if end - first < 3:
         held = " to hold one out" if end - first < 2 else ", got 1"
         raise InsufficientDataError(f"stock {stock_id}: need at least 2 periods{held}")
-    _require_two_returns(int(np.diff(stocks.offsets[first : end + 1]).min()) - 1)
-    raise InsufficientDataError(f"scoring needs >= 3 records, got {end - first - 1}")
+    one_return = np.diff(stocks.offsets[first : end + 1]) == 2
+    if one_return.any():
+        year = stocks.years[first + int(np.argmax(one_return))]
+        raise InsufficientDataError(f"stock {stock_id}, year {year}: variance estimation needs n >= 2 returns, got 1")
+    raise InsufficientDataError(f"stock {stock_id}: scoring needs >= 3 records, got 2")
 
 
 def score_portfolio(

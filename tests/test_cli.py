@@ -559,6 +559,32 @@ def test_pipeline_infinite_holdout_estimate_prints_only_its_error(capsys, tmp_pa
                    "h_per_year = 1e+307 is far from a sampling rate\n")
 
 
+def one_return_prices(lines):
+    """Stock 100004 keeps only its first two 2012 closes."""
+    year = [k for k, line in enumerate(lines) if line.startswith("100004,2012-")]
+    return [line for k, line in enumerate(lines) if k not in year[2:]]
+
+
+def three_year_prices(lines):
+    """Only stock 100001's 2017-2019 rows."""
+    return [lines[0], *(line for line in lines[1:] if line.startswith(("100001,2017-", "100001,2018-", "100001,2019-")))]
+
+
+@pytest.mark.parametrize(
+    "cut, text",
+    [
+        (one_return_prices, "stock 100004, year 2012: variance estimation needs n >= 2 returns, got 1"),
+        (three_year_prices, "stock 100001: scoring needs >= 3 records, got 2"),
+    ],
+    ids=["one_return", "three_years"],
+)
+def test_pipeline_names_the_stock_it_cannot_score(capsys, tmp_path, cut, text):
+    prices = tmp_path / "prices.csv"
+    prices.write_text("\n".join(cut((FIXTURES / "prices.csv").read_text().splitlines())) + "\n")
+    code, out, err = run_pipeline(capsys, prices)
+    assert (code, out, err) == (1, "", f"error: {text}\n")
+
+
 def run_pipeline(capsys, prices=FIXTURES / "prices.csv", capm=FIXTURES / "capm.csv"):
     return run_cli(
         capsys,

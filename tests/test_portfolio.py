@@ -135,11 +135,14 @@ def reference_report(data, config):
     sample, holdout = pipeline.split_holdout(data)
     if sample.n_periods < 2:
         raise InsufficientDataError(f"stock {data.stock_id}: need at least 2 periods, got {sample.n_periods}")
-    for path in data.period_paths:
-        gbm.estimate_unconditional(gbm.log_returns(path))  # raises for a period with one return
+    for year, path in zip(data.years, data.period_paths):
+        try:
+            gbm.estimate_unconditional(gbm.log_returns(path))
+        except InsufficientDataError as exc:  # a period with one return
+            raise InsufficientDataError(f"stock {data.stock_id}, year {year}: {exc}") from None
     rows, (_, raw, _) = reference_records(sample, config)
     if len(rows) < 3:
-        raise InsufficientDataError(f"scoring needs >= 3 records, got {len(rows)}")
+        raise InsufficientDataError(f"stock {data.stock_id}: scoring needs >= 3 records, got {len(rows)}")
     holdout_nu_hat = gbm.estimate_unconditional(gbm.log_returns(holdout)).nu_hat
     bias = [nu_tilde - nu_hat if invested else 0.0 for nu_hat, _, _, _, invested, nu_tilde, _ in rows]
     alpha = fit_alpha(bias, DEFAULT_FIT_GRID)[0] if config.fit_alpha else config.alpha
@@ -290,9 +293,9 @@ def write_portfolio(directory, stocks):
         ([[1.0, 1.1]], 12, "stock B: need at least 2 periods to hold one out"),
         ([[1.0, 1.1], [1.0, 1.2, 1.1]], 12, "stock B: need at least 2 periods, got 1"),
         ([[1.0, 1.1, 1.3], [1.0, 1.2, 1.1], [1.0, 1.2]], 12,
-         "variance estimation needs n >= 2 returns, got 1"),
+         "stock B, year 2003: variance estimation needs n >= 2 returns, got 1"),
         ([[1.0, 1.1, 1.3], [1.0, 1.2, 1.1], [1e-300, 1.0, 1e300]], 10**306,
-         "scoring needs >= 3 records, got 2"),
+         "stock B: scoring needs >= 3 records, got 2"),
     ],
     ids=["one_period", "two_periods", "one_return", "three_periods"],
 )
