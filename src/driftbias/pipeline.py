@@ -453,9 +453,10 @@ def split_holdout(data: StockDataset) -> tuple[StockDataset, PricePath]:
 def _refuse(stocks: _Portfolio, s: int) -> NoReturn:
     """Raise the first fault of stock ``s``, which cannot be scored, in ``score_portfolio``'s order."""
     stock_id, first, end = stocks.stock_ids[s], *stocks.firsts[s : s + 2].tolist()
-    if end - first < 3:
-        held = " to hold one out" if end - first < 2 else ", got 1"
-        raise InsufficientDataError(f"stock {stock_id}: need at least 2 periods{held}")
+    if end - first < 2:
+        raise InsufficientDataError(f"stock {stock_id}: need at least 2 periods to hold one out")
+    if end - first == 2:
+        raise InsufficientDataError(f"stock {stock_id}: need at least 2 periods, got 1")
     one_return = np.diff(stocks.offsets[first : end + 1]) == 2
     if one_return.any():
         year = stocks.years[first + int(np.argmax(one_return))]
