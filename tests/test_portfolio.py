@@ -213,6 +213,23 @@ def test_one_stock_calls_match_per_stock_reference(case):
         )
 
 
+# score_records is the library's hook for an injected raw forecast. Given a
+# stock's own raw forecast and holdout estimate, it must report what the
+# pipeline reports.
+@settings(max_examples=300, deadline=None)
+@given(case=portfolios())
+def test_score_records_matches_the_pipeline(case):
+    datasets, config = case
+    for data in datasets:
+        try:
+            report = pipeline.score_portfolio([data], config)[0][0]
+        except (InsufficientDataError, ValueError):
+            continue
+        records = pipeline.build_period_records(pipeline.split_holdout(data)[0], config)
+        hooked = pipeline.score_records(data.stock_id, records, report.raw_conditional, report.holdout_nu_hat, config)
+        assert report_bits(hooked) == report_bits(report)
+
+
 def overflowing_stock(stock_id):
     """A stock whose bias series is not finite: at a step of 1e-306 years a
     modest return gives a finite, invested nu_hat, and a huge one gives inf."""
