@@ -211,7 +211,7 @@ def _portfolio(stocks: Sequence[StockDataset]) -> _Portfolio:
 
 @dataclass(frozen=True)
 class PeriodRecord:
-    """One period's estimates, gate outcome, and realized bias.
+    """One period's estimates, gate outcome, and realized bias, from ``build_period_records``.
 
     ``invested`` states whether money entered the stock for this period,
     which is decided by the previous period's return beating its
@@ -232,10 +232,6 @@ class PeriodRecord:
     invested: bool
     nu_tilde: float
     degenerate: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.invested and self.nu_tilde != 0.0:
-            raise ValueError("a not-invested record must carry nu_tilde = 0")
 
     @property
     def bias(self) -> float:
@@ -415,21 +411,20 @@ def build_period_records(
 
 def score_records(
     stock_id: str,
-    records: Sequence[PeriodRecord],
+    bias: Sequence[float],
     raw_next: float,
     holdout_nu_hat: float,
     config: PipelineConfig = PipelineConfig(),
 ) -> ForecastReport:
     """Score a given next-period raw forecast against the holdout estimate.
 
-    Simulation studies inject their own raw forecast here while reusing
-    the adjustment arithmetic.
+    ``bias`` is the realized bias series, each sample period's record's
+    ``bias``. Simulation studies inject their own, and their own raw forecast.
     """
-    if len(records) < 3:
-        raise InsufficientDataError(f"scoring needs >= 3 records, got {len(records)}")
-    bias = np.array([record.bias for record in records])
-    counts = np.array([len(records)])
-    return _reports([stock_id], bias, counts, np.array([raw_next]), np.array([holdout_nu_hat]), config)[0]
+    bias = np.array(bias, dtype=float)
+    if bias.size < 3:
+        raise InsufficientDataError(f"scoring needs >= 3 records, got {bias.size}")
+    return _reports([stock_id], bias, np.array([bias.size]), np.array([raw_next]), np.array([holdout_nu_hat]), config)[0]
 
 
 def split_holdout(data: StockDataset) -> tuple[StockDataset, PricePath]:

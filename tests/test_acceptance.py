@@ -36,7 +36,6 @@ from driftbias import (
     ConditionalQuery,
     Direction,
     GbmParams,
-    PeriodRecord,
     PipelineConfig,
     SmoothingConfig,
     asymptotic_limit,
@@ -207,25 +206,14 @@ def test_surface_monotone_in_threshold_and_vacuous_limit():
     assert worst_vacuous <= 1e-10
 
 
-def _random_records(rng: np.random.Generator, count: int) -> list[PeriodRecord]:
-    """Pipeline-shaped records: first period never invested, bias zero."""
-    records = []
+def _random_biases(rng: np.random.Generator, count: int) -> list[float]:
+    """A pipeline-shaped bias series: the first period is never invested, so its bias is zero,
+    and a later period's bias is zero where it was not invested."""
+    biases = []
     for i in range(count):
-        nu_hat = float(rng.normal(0.08, 0.2))
         invested = i >= 1 and rng.random() > 0.2
-        nu_tilde = nu_hat + float(rng.normal(0.1, 0.3)) if invested else 0.0
-        records.append(
-            PeriodRecord(
-                period_index=i,
-                nu_hat=nu_hat,
-                sigma2_hat=0.04,
-                realized_return=nu_hat,
-                benchmark_c=0.0,
-                invested=invested,
-                nu_tilde=nu_tilde,
-            )
-        )
-    return records
+        biases.append(float(rng.normal(0.1, 0.3)) if invested else 0.0)
+    return biases
 
 
 def test_smoothing_identities():
@@ -252,9 +240,9 @@ def test_smoothing_identities():
     worst_identity = 0.0
     config = PipelineConfig(alpha=1.0)
     for trial in range(20):
-        records = _random_records(rng, int(rng.integers(3, 12)))
-        for k in range(3, len(records) + 1):
-            report = score_records("R", records[:k], 0.1, 0.08, config)
+        biases = _random_biases(rng, int(rng.integers(3, 12)))
+        for k in range(3, len(biases) + 1):
+            report = score_records("R", biases[:k], 0.1, 0.08, config)
             worst_identity = max(
                 worst_identity,
                 abs(report.es_adjusted - report.simple_adjusted),
@@ -318,41 +306,27 @@ def _study_seed_totals(seed: int) -> tuple[float, float, float]:
     for k in range(STUDY_STOCKS):
         params = GbmParams(mu=0.06 + 0.01 * k, sigma=0.1 + 0.02 * k)
         rng = np.random.default_rng((ACCEPT_SEED, seed, k))
-        nu_hats = [
-            estimate_unconditional(
-                log_returns(
-                    simulate_gbm(
-                        params, 100.0, 1.0, 252,
-                        seed=np.random.SeedSequence((ACCEPT_SEED, seed, k, i)),
-                    )
+        # Only the holdout period's path is simulated: the bias series is injected.
+        holdout_nu_hat = estimate_unconditional(
+            log_returns(
+                simulate_gbm(
+                    params, 100.0, 1.0, 252,
+                    seed=np.random.SeedSequence((ACCEPT_SEED, seed, k, STUDY_PERIODS)),
                 )
-            ).nu_hat
-            for i in range(STUDY_PERIODS + 1)
-        ]
+            )
+        ).nu_hat
         u = float(rng.standard_normal()) * STUDY_SIGMA_U
         biases = [0.0]
         for _ in range(1, STUDY_PERIODS):
             u = STUDY_RHO * u + float(rng.standard_normal()) * innovation_scale
             biases.append(STUDY_MEAN_BIAS + u + float(rng.standard_normal()) * STUDY_SIGMA_W)
-        records = [
-            PeriodRecord(
-                period_index=i,
-                nu_hat=nu_hats[i],
-                sigma2_hat=params.sigma ** 2,
-                realized_return=nu_hats[i],
-                benchmark_c=0.0,
-                invested=i >= 1,
-                nu_tilde=nu_hats[i] + biases[i] if i >= 1 else 0.0,
-            )
-            for i in range(STUDY_PERIODS)
-        ]
         u_next = STUDY_RHO * u + float(rng.standard_normal()) * innovation_scale
         bias_next = STUDY_MEAN_BIAS + u_next + float(rng.standard_normal()) * STUDY_SIGMA_W
         report = score_records(
             f"{k:06d}",
-            records,
+            biases,
             raw_next=params.nu + bias_next,
-            holdout_nu_hat=nu_hats[STUDY_PERIODS],
+            holdout_nu_hat=holdout_nu_hat,
             config=PipelineConfig(),
         )
         totals += (report.sd_raw, report.sd_simple, report.sd_es)

@@ -52,21 +52,8 @@ def make_dataset(totals, sigma2=0.09, stock_id="000001", rf=0.03, beta=1.0, mkt=
     return dataset_from_paths(paths, stock_id, beta=beta, risk_free=(rf,) * n, market=(mkt,) * n)
 
 
-def make_record(index=0, nu_hat=0.0, nu_tilde=0.0, invested=False, **kwargs):
-    defaults = dict(
-        sigma2_hat=0.09,
-        realized_return=kwargs.pop("realized_return", nu_hat),
-        benchmark_c=kwargs.pop("benchmark_c", 0.09),
-        degenerate=kwargs.pop("degenerate", False),
-    )
-    return pipeline.PeriodRecord(
-        period_index=index,
-        nu_hat=nu_hat,
-        invested=invested,
-        nu_tilde=nu_tilde,
-        **defaults,
-        **kwargs,
-    )
+def make_record(nu_hat, nu_tilde, invested):
+    return pipeline.PeriodRecord(0, nu_hat, 0.09, nu_hat, 0.09, invested, nu_tilde)
 
 
 def test_config_validation():
@@ -86,8 +73,6 @@ def test_config_validation():
 
 
 def test_record_gating_consistency():
-    with pytest.raises(ValueError):
-        make_record(invested=False, nu_tilde=0.2)
     invested = make_record(nu_hat=0.1, nu_tilde=0.25, invested=True)
     assert invested.bias == pytest.approx(0.15, rel=1e-12)
     skipped = make_record(nu_hat=0.1, nu_tilde=0.0, invested=False)
@@ -233,7 +218,7 @@ def test_invested_fraction_matches_normal_quantile():
 
 def test_score_records_needs_three_records():
     with pytest.raises(InsufficientDataError, match="^scoring needs >= 3 records, got 2$"):
-        pipeline.score_records("000001", [make_record(), make_record(index=1)], 0.1, 0.1)
+        pipeline.score_records("000001", [0.0, 0.0], 0.1, 0.1)
 
 
 @pytest.mark.parametrize(
@@ -244,54 +229,43 @@ def test_score_records_names_only_the_fault(raw_next, fault):
     # The caller gave no sampling rate, so the text blames none.
     records = pipeline.build_period_records(make_dataset([-0.1, -0.2, -0.3]))
     with pytest.raises(ValueError) as info:
-        pipeline.score_records("000001", records, raw_next, 0.0)
+        pipeline.score_records("000001", [r.bias for r in records], raw_next, 0.0)
     assert str(info.value) == f"stock 000001: {fault}"
 
 
 def test_simple_adjust_zero_bias_is_identity():
     records = pipeline.build_period_records(make_dataset([-0.1, -0.2, -0.3]))
     for raw in (0.0, 0.07, -0.3):
-        assert pipeline.score_records("000001", records, raw, 0.05).simple_adjusted == raw
+        assert pipeline.score_records("000001", [r.bias for r in records], raw, 0.05).simple_adjusted == raw
 
 
 def test_simple_adjust_hand_case():
-    # The last record's bias is 0.15 - 0.10 = 0.05, so a raw 0.20 becomes 0.15.
-    records = [
-        make_record(index=0),
-        make_record(index=1),
-        make_record(index=2, nu_hat=0.10, nu_tilde=0.15, invested=True),
-    ]
-    report = pipeline.score_records("000001", records, raw_next=0.20, holdout_nu_hat=0.12)
+    # The last bias is 0.15 - 0.10 = 0.05, so a raw 0.20 becomes 0.15.
+    report = pipeline.score_records("000001", [0.0, 0.0, 0.15 - 0.10], raw_next=0.20, holdout_nu_hat=0.12)
     assert report.simple_adjusted == pytest.approx(0.15, rel=1e-12)
 
 
-def ar1_bias_records(rho=0.9, n=40, seed=21, scale=0.1):
+def ar1_bias(rho=0.9, n=40, seed=21, scale=0.1):
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(n) * scale * math.sqrt(1.0 - rho * rho)
     bias = np.empty(n)
     bias[0] = rng.standard_normal() * scale
     for t in range(1, n):
         bias[t] = rho * bias[t - 1] + noise[t]
-    return [
-        make_record(index=i, nu_hat=0.05, nu_tilde=0.05 + bias[i], invested=True)
-        for i in range(n)
-    ]
+    return bias.tolist()
 
 
 def test_simple_adjust_beats_raw_on_persistent_bias():
-    # Each record from the fourth on is the holdout of the records before it.
-    records = ar1_bias_records()
-    reports = [
-        pipeline.score_records("000001", records[:k], records[k].nu_tilde, records[k].nu_hat)
-        for k in range(3, len(records))
-    ]
+    # Each period from the fourth on, at nu_hat = 0.05, is the holdout of the periods before it.
+    bias = ar1_bias()
+    reports = [pipeline.score_records("000001", bias[:k], 0.05 + bias[k], 0.05) for k in range(3, len(bias))]
     assert sum(r.sd_simple for r in reports) < sum(r.sd_raw for r in reports)
 
 
 def test_es_adjust_zero_bias_is_identity():
     records = pipeline.build_period_records(make_dataset([-0.1, -0.2, -0.3]))
     for raw in (0.0, 0.07, -0.3):
-        assert pipeline.score_records("000001", records, raw, 0.05).es_adjusted == raw
+        assert pipeline.score_records("000001", [r.bias for r in records], raw, 0.05).es_adjusted == raw
 
 
 def test_es_adjust_alpha_one_equals_simple():
@@ -301,17 +275,15 @@ def test_es_adjust_alpha_one_equals_simple():
     for totals in ([0.5, -0.2, 0.3, 0.1, 0.4], [0.5, 0.4, 0.6, 0.45, 0.3]):
         records = pipeline.build_period_records(make_dataset(totals))
         for k in range(3, len(records) + 1):
-            report = pipeline.score_records("000001", records[:k], 0.1, 0.05, config)
+            report = pipeline.score_records("000001", [r.bias for r in records[:k]], 0.1, 0.05, config)
             assert report.es_adjusted == report.simple_adjusted
 
 
 def test_es_adjust_constant_bias_fixed_point():
-    records = [
-        make_record(index=i, nu_hat=0.10, nu_tilde=0.15, invested=True) for i in range(5)
-    ]
+    bias = [0.15 - 0.10] * 5
     config = pipeline.PipelineConfig(alpha=0.2)
-    for k in range(3, len(records) + 1):
-        report = pipeline.score_records("000001", records[:k], 0.15, 0.10, config)
+    for k in range(3, len(bias) + 1):
+        report = pipeline.score_records("000001", bias[:k], 0.15, 0.10, config)
         assert report.es_adjusted == pytest.approx(0.15 - 0.05, rel=1e-12)
 
 
@@ -346,7 +318,7 @@ def test_next_raw_forecast_open_gate():
 
 def test_score_records_perfect_forecast():
     records = pipeline.build_period_records(make_dataset([-0.1, -0.2, -0.3]))
-    report = pipeline.score_records("000001", records, raw_next=0.07, holdout_nu_hat=0.07)
+    report = pipeline.score_records("000001", [r.bias for r in records], raw_next=0.07, holdout_nu_hat=0.07)
     assert report.sd_raw == 0.0
     assert report.sd_simple == 0.0
     assert report.sd_es == 0.0
@@ -354,18 +326,17 @@ def test_score_records_perfect_forecast():
 
 
 def test_score_records_uses_last_bias_and_smoothed_bias():
-    records = ar1_bias_records(n=10)
-    report = pipeline.score_records("000001", records, raw_next=0.2, holdout_nu_hat=0.1)
-    assert report.simple_adjusted == pytest.approx(0.2 - records[-1].bias, rel=1e-12)
-    forecast = smooth([r.bias for r in records], SmoothingConfig(alpha=0.2))[-1]
+    bias = ar1_bias(n=10)
+    report = pipeline.score_records("000001", bias, raw_next=0.2, holdout_nu_hat=0.1)
+    assert report.simple_adjusted == pytest.approx(0.2 - bias[-1], rel=1e-12)
+    forecast = smooth(bias, SmoothingConfig(alpha=0.2))[-1]
     assert report.es_adjusted == pytest.approx(0.2 - forecast, rel=1e-12)
     assert report.sd_simple == pytest.approx((report.simple_adjusted - 0.1) ** 2, rel=1e-12)
 
 
 def test_score_records_can_fit_alpha():
-    records = ar1_bias_records(n=12)
     config = pipeline.PipelineConfig(fit_alpha=True)
-    report = pipeline.score_records("000001", records, 0.2, 0.1, config)
+    report = pipeline.score_records("000001", ar1_bias(n=12), 0.2, 0.1, config)
     assert math.isfinite(report.es_adjusted)
 
 

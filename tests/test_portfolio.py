@@ -226,7 +226,9 @@ def test_score_records_matches_the_pipeline(case):
         except (InsufficientDataError, ValueError):
             continue
         records = pipeline.build_period_records(pipeline.split_holdout(data)[0], config)
-        hooked = pipeline.score_records(data.stock_id, records, report.raw_conditional, report.holdout_nu_hat, config)
+        hooked = pipeline.score_records(
+            data.stock_id, [r.bias for r in records], report.raw_conditional, report.holdout_nu_hat, config
+        )
         assert report_bits(hooked) == report_bits(report)
 
 
