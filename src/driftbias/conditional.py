@@ -81,11 +81,6 @@ class ConditionalQuery:
             raise ValueError(f"nu and C must be finite, got nu = {self.nu}, C = {self.C}")
         _check_scale(self.sigma, self.T, self.direction, (self.C - self.nu * self.T,))
 
-    @property
-    def mills_argument(self) -> float:
-        """Standardized threshold d = (C - nu*T) / (sigma*sqrt(T))."""
-        return (self.C - self.nu * self.T) / (self.sigma * math.sqrt(self.T))
-
 
 @dataclass(frozen=True)
 class ConditionalResult:

@@ -29,9 +29,9 @@ def conditional_nu_quadrature(q: ConditionalQuery) -> float:
     slower and numerically worse.
     """
     prob = conditional_nu(q).tail_probability  # raises on a degenerate event
-    d = q.mills_argument
     mean = q.nu * q.T
     spread2 = q.sigma * q.sigma * q.T
+    d = (q.C - mean) / math.sqrt(spread2)
 
     def gauss(y: float) -> float:
         return math.exp(-((y - mean) ** 2) / (2.0 * spread2))

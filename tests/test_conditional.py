@@ -64,9 +64,9 @@ def test_query_validation():
 
 
 def test_mills_argument():
-    assert q().mills_argument == 0.0
-    assert q(nu=0.3, C=0.0).mills_argument == pytest.approx(-1.0, rel=1e-15)
-    assert q(nu=0.0, C=0.3).mills_argument == pytest.approx(1.0, rel=1e-15)
+    assert ce.conditional_nu(q()).mills_argument == 0.0
+    assert ce.conditional_nu(q(nu=0.3, C=0.0)).mills_argument == pytest.approx(-1.0, rel=1e-15)
+    assert ce.conditional_nu(q(nu=0.0, C=0.3)).mills_argument == pytest.approx(1.0, rel=1e-15)
 
 
 def test_centered_above():
