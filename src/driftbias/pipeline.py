@@ -469,7 +469,8 @@ def score_portfolio(
     order were scored, for the first of its faults in this order: fewer
     than 2 periods, exactly 2, a period with one return, exactly 3. What
     ``ingest`` returns is scored as it stands, in id order; any other
-    sequence is sorted by id into one first. Totals past the float range
+    sequence is sorted by id into one first, and raises ValueError before
+    any scoring if two stocks share an id. Totals past the float range
     raise ValueError.
 
     Returns:
@@ -480,6 +481,9 @@ def score_portfolio(
         stocks = datasets
     else:
         stocks = _portfolio(sorted(datasets, key=lambda item: item.stock_id))
+        for previous, stock_id in zip(stocks.stock_ids, stocks.stock_ids[1:]):
+            if previous == stock_id:
+                raise ValueError(f"stock {stock_id}: listed more than once")
     reports: list[ForecastReport] = []
     cause = f"; h_per_year = {float(config.h_per_year):g} is far from a sampling rate"
     if len(stocks):

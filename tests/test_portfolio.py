@@ -6,7 +6,8 @@ time: ``estimate_unconditional(log_returns(path))`` for each period,
 ``conditional_nu`` for each open gate, ``fit_alpha`` and ``smooth`` for
 the bias series. Every ``ForecastReport`` field is compared bit for bit,
 and an invalid stock must raise the same exception, type and text, as
-the reference raises first. ``build_period_records`` and a one-stock
+the reference raises first; a list that names a stock twice is refused
+before any stock is scored. ``build_period_records`` and a one-stock
 ``score_portfolio`` are checked against the same reference per stock.
 
 Portfolios mix fixed and fitted alpha, both benchmark modes, 4-15
@@ -179,6 +180,10 @@ def test_score_portfolio_matches_per_stock_reference(case):
     datasets, config = case
 
     def reference():
+        ids = [data.stock_id for data in datasets]
+        repeated = sorted(stock_id for stock_id in set(ids) if ids.count(stock_id) > 1)
+        if repeated:
+            raise ValueError(f"stock {repeated[0]}: listed more than once")
         return [bits(reference_report(data, config)) for data in sorted(datasets, key=lambda d: d.stock_id)]
 
     def batched():
@@ -330,3 +335,10 @@ def test_refusals_come_in_chain_order(tmp_path, periods, h_per_year, text, sourc
     with pytest.raises(InsufficientDataError) as info:
         pipeline.score_portfolio(stocks, config)
     assert str(info.value) == text
+
+
+def test_a_repeated_id_is_refused_before_scoring():
+    # Stock 0, first in id order, would fail in scoring.
+    stocks = [flat_stock("A", 4), too_short_stock("0"), flat_stock("A", 5)]
+    with pytest.raises(ValueError, match="^stock A: listed more than once$"):
+        pipeline.score_portfolio(stocks)
