@@ -24,12 +24,12 @@ _PLAIN = bytes(range(0x20, 0x7F)) + b"\r\n"
 
 
 def read_rows(path: str, header: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(lineno, cells)`` for each data row of the UTF-8 file ``path``.
+    """Yield ``(lineno, cells)`` for each data row of the UTF-8 file ``path``, BOM or none.
 
     Whitespace-only lines are skipped but counted. The first other line
     must equal ``header``, and every row must have as many cells as it.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         numbered = enumerate(handle.read().splitlines(), start=1)
     for lineno, line in numbered:
         if line.strip():

@@ -557,7 +557,7 @@ _CONVERTERS = {"float": float, "float | None": float, "bool": _parse_bool, "int"
 
 
 def load_config(path: str) -> PipelineConfig:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_config(handle.read())
 
 

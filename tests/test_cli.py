@@ -178,6 +178,10 @@ def test_limits_output(capsys):
     assert out.splitlines()[1] == "-0.2,above,0.0"
 
 
+# The UTF-8 byte-order mark, which Excel's "CSV UTF-8" export writes first.
+BOM = b"\xef\xbb\xbf"
+
+
 def write_values(tmp_path, values):
     target = tmp_path / "values.csv"
     target.write_text("value\n" + "".join(f"{v}\n" for v in values))
@@ -198,6 +202,15 @@ def test_smooth_matches_library(capsys, tmp_path):
         assert line == f"{value!r},{forecast!r}"
     assert lines[-1] == f",{forecasts[-1]!r}"
     assert "alpha=0.2" in err
+
+
+def test_smooth_reads_a_value_file_behind_a_byte_order_mark(capsys, tmp_path):
+    path = pathlib.Path(write_values(tmp_path, [10.0, 12.0, 8.0, 11.0]))
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(BOM + path.read_bytes())
+    plain = run_cli(capsys, "smooth", "--input", str(path))
+    assert plain[0] == 0
+    assert run_cli(capsys, "smooth", "--input", str(marked)) == plain
 
 
 def test_smooth_fit_flag(capsys, tmp_path):
@@ -583,6 +596,24 @@ def test_pipeline_names_the_stock_it_cannot_score(capsys, tmp_path, cut, text):
     prices.write_text("\n".join(cut((FIXTURES / "prices.csv").read_text().splitlines())) + "\n")
     code, out, err = run_pipeline(capsys, prices)
     assert (code, out, err) == (1, "", f"error: {text}\n")
+
+
+PIPELINE_INPUTS = {"--prices": "prices.csv", "--capm": "capm.csv", "--config": "pipeline.cfg"}
+
+
+@pytest.mark.parametrize("marked", [["--prices"], ["--capm"], ["--config"], list(PIPELINE_INPUTS)],
+                         ids=["prices", "capm", "config", "all"])
+def test_pipeline_reads_files_behind_a_byte_order_mark(capsys, tmp_path, marked):
+    argv = ["pipeline"]
+    for flag, name in PIPELINE_INPUTS.items():
+        path = FIXTURES / name
+        if flag in marked:
+            path = tmp_path / name
+            path.write_bytes(BOM + (FIXTURES / name).read_bytes())
+        argv += [flag, str(path)]
+    plain = run_pipeline(capsys)
+    assert plain[0] == 0
+    assert run_cli(capsys, *argv) == plain
 
 
 def run_pipeline(capsys, prices=FIXTURES / "prices.csv", capm=FIXTURES / "capm.csv"):
