@@ -418,13 +418,14 @@ def score_records(
 ) -> ForecastReport:
     """Score a given next-period raw forecast against the holdout estimate.
 
-    ``bias`` is the realized bias series, each sample period's record's
-    ``bias``. Simulation studies inject their own, and their own raw forecast.
+    ``bias`` is the stock's realized bias series, its records' ``bias``.
+    Simulation studies inject their own series and raw forecast here.
     """
     bias = np.array(bias, dtype=float)
     if bias.size < 3:
         raise InsufficientDataError(f"scoring needs >= 3 records, got {bias.size}")
-    return _reports([stock_id], bias, np.array([bias.size]), np.array([raw_next]), np.array([holdout_nu_hat]), config)[0]
+    counts = np.array([bias.size])
+    return _reports([stock_id], bias, counts, np.array([raw_next]), np.array([holdout_nu_hat]), config)[0]
 
 
 def split_holdout(data: StockDataset) -> tuple[StockDataset, PricePath]:
@@ -468,10 +469,9 @@ def score_portfolio(
     scored raises InsufficientDataError, after the stocks before it in id
     order were scored, for the first of its faults in this order: fewer
     than 2 periods, exactly 2, a period with one return, exactly 3. What
-    ``ingest`` returns is scored as it stands, in id order; any other
-    sequence is sorted by id into one first, and raises ValueError before
-    any scoring if two stocks share an id. Totals past the float range
-    raise ValueError.
+    ``ingest`` returns is scored as it stands, in id order; any other is
+    sorted by id into one first, and raises ValueError, before any scoring,
+    if two stocks share an id. Totals past the float range raise ValueError.
 
     Returns:
         The per-stock reports ordered by stock id plus the totals
