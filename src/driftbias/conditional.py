@@ -114,8 +114,9 @@ _SURFACE_CHUNK = 16_384
 
 @dataclass(frozen=True, eq=False)
 class Surface(Sequence[SurfaceCell]):
-    """A bias surface as arrays: ``expectation``, ``bias`` and ``degenerate``
-    have shape ``(len(mu), len(C))``, with nan where a cell is degenerate.
+    """A bias surface as arrays: ``mu`` and ``C`` are one-dimensional, and
+    ``expectation``, ``bias`` and ``degenerate`` must have shape
+    ``(len(mu), len(C))``, with nan where a cell is degenerate.
     As a sequence it reads as SurfaceCell values in row-major order (mu
     outer, C inner), each built on demand."""
 
@@ -124,6 +125,14 @@ class Surface(Sequence[SurfaceCell]):
     expectation: np.ndarray
     bias: np.ndarray
     degenerate: np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.mu) != 1 or np.ndim(self.C) != 1:
+            raise ValueError(f"mu and C must be one-dimensional, got shapes {np.shape(self.mu)} and {np.shape(self.C)}")
+        grid = (np.size(self.mu), np.size(self.C))
+        for name in ("expectation", "bias", "degenerate"):
+            if (shape := np.shape(getattr(self, name))) != grid:
+                raise ValueError(f"{name} has shape {shape}, expected (len(mu), len(C)) = {grid}")
 
     def __len__(self) -> int:
         return self.expectation.size

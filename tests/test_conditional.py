@@ -362,6 +362,27 @@ def test_surface_csv_reads_an_integer_mask():
     assert ce.surface_csv(as_int) == ce.surface_csv(surface)
 
 
+def test_surface_rejects_mismatched_shapes():
+    # expectation and bias transposed against the grids: each value would
+    # render beside the wrong (mu, C).
+    text = r"^expectation has shape \(3, 2\), expected \(len\(mu\), len\(C\)\) = \(2, 3\)$"
+    with pytest.raises(ValueError, match=text):
+        ce.Surface(
+            mu=[0.0, 1.0], C=[0.0, 1.0, 2.0], expectation=np.arange(6.0).reshape(3, 2), bias=np.zeros((3, 2)),
+            degenerate=np.zeros((2, 3), bool),
+        )
+    mu, c = np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0])
+    values = np.zeros((2, 3))
+    for name, arrays in (
+        ("bias", (values, values.ravel(), values.astype(bool))),
+        ("degenerate", (values, values, np.zeros((3, 2), bool))),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} has shape"):
+            ce.Surface(mu, c, *arrays)
+    with pytest.raises(ValueError, match=r"^mu and C must be one-dimensional, got shapes \(1, 2\) and \(3,\)$"):
+        ce.Surface(mu[None], c, values[None], values[None], values[None].astype(bool))
+
+
 def test_surface_reads_as_a_sequence_of_cells():
     mu, c = [-0.2, 0.0, 0.3], [-0.1, 0.0, 0.1, 0.5]
     surface = ce.bias_surface(mu, c, sigma=0.3, T=1.0, direction=ABOVE)
