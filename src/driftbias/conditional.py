@@ -105,10 +105,13 @@ class SurfaceCell(NamedTuple):
 
 
 _FLAGS = ("ok", "degenerate")
-_FLAG_FIELDS = np.array(_FLAGS, dtype=f"S{WIDTH}").view(np.uint8).reshape(len(_FLAGS), WIDTH)
-_SEPARATORS = np.frombuffer(b",,,,\n", np.uint8)
-# Cells per byte matrix in surface_csv: the matrices take about 90 bytes a
-# cell, so a whole 400 x 400 surface at once would raise the peak memory.
+_FLAG_WIDTH = len("degenerate")
+_FLAG_FIELDS = np.array(_FLAGS, dtype=f"S{_FLAG_WIDTH}").view(np.uint8).reshape(len(_FLAGS), _FLAG_WIDTH)
+# A cell's line in surface_csv: four WIDTH-byte number fields and the flag,
+# each NUL-padded and followed by its separator; 83 bytes.
+_LINE = 4 * (WIDTH + 1) + _FLAG_WIDTH + 1
+# Cells per line matrix in surface_csv (1.4 MB). The text goes into one
+# buffer of _LINE bytes a cell, of which only the pages written are touched.
 _SURFACE_CHUNK = 16_384
 
 
@@ -312,23 +315,33 @@ def surface_csv(surface: Surface) -> str:
     """Render a surface as CSV, each value exactly as ``f"{x:.10g}"`` writes it.
 
     Each grid value is formatted once. The cells are laid out
-    ``_SURFACE_CHUNK`` at a time as NUL-padded fields, each followed by its
-    separator, and the NULs are dropped.
+    ``_SURFACE_CHUNK`` at a time in one reused matrix of ``_LINE``-byte
+    lines: NUL-padded fields, each followed by its separator. Each chunk's
+    bytes go, NULs dropped, into one buffer of ``_LINE`` bytes a cell, and
+    the part written is decoded once.
     """
     mu, c = format_g10(surface.mu), format_g10(surface.C)
     degenerate = np.asarray(surface.degenerate, bool)
     step = max(1, _SURFACE_CHUNK // max(1, len(c)))
-    parts = [b"mu,C,expectation,bias,flag\n"]
+    header = b"mu,C,expectation,bias,flag\n"
+    text = np.empty(len(header) + degenerate.size * _LINE, np.uint8)
+    text[:len(header)] = np.frombuffer(header, np.uint8)
+    end = len(header)
+    field = [slice(k * (WIDTH + 1), k * (WIDTH + 1) + WIDTH) for k in range(4)]
+    lines = np.empty((min(step, len(mu)), len(c), _LINE), np.uint8)
+    lines[..., WIDTH:-1:WIDTH + 1] = ord(",")
+    lines[..., -1] = ord("\n")
+    lines[..., field[1]] = c
     for start in range(0, len(mu), step):
         rows = slice(start, start + step)
-        cells = (len(mu[rows]), len(c))
-        line = np.empty((*cells, 5, WIDTH + 1), np.uint8)
-        line[..., -1] = _SEPARATORS
-        line[:, :, 0, :-1] = mu[rows, None]
-        line[:, :, 1, :-1] = c
-        line[:, :, 2, :-1] = format_g10(surface.expectation[rows]).reshape(*cells, WIDTH)
-        line[:, :, 3, :-1] = format_g10(surface.bias[rows]).reshape(*cells, WIDTH)
-        line[:, :, 4, :-1] = _FLAG_FIELDS[degenerate[rows].view(np.uint8)]
-        flat = line.reshape(-1)
-        parts.append(flat[flat != 0].tobytes())
-    return b"".join(parts).decode("ascii")
+        chunk = lines[:len(mu[rows])]
+        chunk[..., field[0]] = mu[rows, None]
+        cells = chunk.reshape(-1, _LINE)
+        cells[:, field[2]] = format_g10(surface.expectation[rows])
+        cells[:, field[3]] = format_g10(surface.bias[rows])
+        cells[:, -_FLAG_WIDTH - 1:-1] = _FLAG_FIELDS[degenerate[rows].reshape(-1).view(np.uint8)]
+        flat = cells.reshape(-1)
+        kept = flat[flat != 0]
+        text[end:end + kept.size] = kept
+        end += kept.size
+    return str(text[:end].data, "ascii")

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from oracles import conditional_nu_quadrature, monte_carlo_conditional
 
 from driftbias import conditional as ce
+from driftbias._format import WIDTH
 from driftbias.errors import DegenerateConditionError
 
 ABOVE = ce.Direction.ABOVE
@@ -360,6 +361,21 @@ def test_surface_csv_reads_an_integer_mask():
     as_int = ce.Surface(surface.mu, surface.C, surface.expectation, surface.bias, surface.degenerate.astype(int))
     assert surface.degenerate.any()
     assert ce.surface_csv(as_int) == ce.surface_csv(surface)
+
+
+def test_surface_csv_widest_lines():
+    # Every number formats to WIDTH characters and every cell is flagged, so
+    # each line takes all of its bytes in surface_csv's buffer.
+    widest = np.array([-1.234567891e-100, -9.876543219e+200, -5.555555551e-300, -2.718281829e+100])
+    assert {len(f"{x:.10g}") for x in widest} == {WIDTH}
+    shape = (ce._SURFACE_CHUNK // 97 + 2, 97)
+    cells = np.resize(widest, shape)
+    surface = ce.Surface(
+        np.resize(widest, shape[0]), np.resize(widest[::-1], shape[1]), cells, cells[::-1].copy(), np.ones(shape, bool)
+    )
+    text = ce.surface_csv(surface)
+    assert text == cellwise_csv(surface)
+    assert len(text) == len("mu,C,expectation,bias,flag\n") + surface.bias.size * ce._LINE
 
 
 def test_surface_rejects_mismatched_shapes():
