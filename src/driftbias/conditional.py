@@ -105,13 +105,13 @@ class SurfaceCell(NamedTuple):
 
 
 _FLAGS = ("ok", "degenerate")
-_FLAG_WIDTH = len("degenerate")
-_FLAG_FIELDS = np.array(_FLAGS, dtype=f"S{_FLAG_WIDTH}").view(np.uint8).reshape(len(_FLAGS), _FLAG_WIDTH)
+_FLAG_FIELDS = np.array(_FLAGS, dtype="S").view(np.uint8).reshape(len(_FLAGS), -1)
 # A cell's line in surface_csv: four WIDTH-byte number fields and the flag,
 # each NUL-padded and followed by its separator; 83 bytes.
-_LINE = 4 * (WIDTH + 1) + _FLAG_WIDTH + 1
-# Cells per line matrix in surface_csv (1.4 MB). The text goes into one
-# buffer of _LINE bytes a cell, of which only the pages written are touched.
+_LINE = 4 * (WIDTH + 1) + _FLAG_FIELDS.shape[1] + 1
+# Cells per line matrix in surface_csv: 16k lines take 1.4 MB, where a whole
+# 400 x 400 surface would take 13 MB. The text buffer is sized at _LINE bytes
+# a cell, but only the pages written to become resident.
 _SURFACE_CHUNK = 16_384
 
 
@@ -339,7 +339,7 @@ def surface_csv(surface: Surface) -> str:
         cells = chunk.reshape(-1, _LINE)
         cells[:, field[2]] = format_g10(surface.expectation[rows])
         cells[:, field[3]] = format_g10(surface.bias[rows])
-        cells[:, -_FLAG_WIDTH - 1:-1] = _FLAG_FIELDS[degenerate[rows].reshape(-1).view(np.uint8)]
+        cells[:, 4 * (WIDTH + 1):-1] = _FLAG_FIELDS[degenerate[rows].reshape(-1).view(np.uint8)]
         flat = cells.reshape(-1)
         kept = flat[flat != 0]
         text[end:end + kept.size] = kept

@@ -365,7 +365,7 @@ def test_surface_csv_reads_an_integer_mask():
 
 def test_surface_csv_widest_lines():
     # Every number formats to WIDTH characters and every cell is flagged, so
-    # each line takes all of its bytes in surface_csv's buffer.
+    # each line fills all _LINE bytes that surface_csv sizes its buffer by.
     widest = np.array([-1.234567891e-100, -9.876543219e+200, -5.555555551e-300, -2.718281829e+100])
     assert {len(f"{x:.10g}") for x in widest} == {WIDTH}
     shape = (ce._SURFACE_CHUNK // 97 + 2, 97)
