@@ -20,8 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import conditional, diagnostics, gbm, pipeline, smoothing
-from ._csv import finite, read_rows
+from . import conditional
 from .errors import (
     DegenerateConditionError,
     DegenerateVarianceError,
@@ -83,9 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     smooth = commands.add_parser("smooth", help="exponential smoothing of a value series")
     smooth.add_argument("--input", required=True, help="CSV with a single 'value' column")
     choice = smooth.add_mutually_exclusive_group()
-    choice.add_argument(
-        "--alpha", type=float, default=smoothing.DEFAULT_ALPHA, help="smoothing factor in [0, 1]"
-    )
+    choice.add_argument("--alpha", type=float, default=argparse.SUPPRESS, help="smoothing factor in [0, 1]")
     choice.add_argument("--fit", action="store_true", help="fit alpha on the default grid")
     smooth.set_defaults(handler=_cmd_smooth)
 
@@ -138,16 +135,19 @@ def main() -> None:
 
 
 def _read_value_column(path: str) -> list[float]:
+    from ._csv import finite, read_rows
     return [finite(path, lineno, cells, 0, "value") for lineno, cells in read_rows(path, "value")]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[str, str]:
+    from . import gbm
     params = gbm.GbmParams(mu=args.mu, sigma=args.sigma)
     path = gbm.simulate_gbm(params, a0=args.a0, T=args.T, n=args.n, seed=args.seed)
     return gbm.write_price_csv(path), ""
 
 
 def _cmd_estimate(args: argparse.Namespace) -> tuple[str, str]:
+    from . import gbm
     if not args.h_per_year > 0:
         raise ValueError(f"--h-per-year must be positive, got {args.h_per_year}")
     if not math.isfinite(args.h_per_year):
@@ -197,8 +197,9 @@ def _cmd_limits(args: argparse.Namespace) -> tuple[str, str]:
 
 
 def _cmd_smooth(args: argparse.Namespace) -> tuple[str, str]:
+    from . import smoothing
     values = _read_value_column(args.input)
-    alpha = smoothing.fit_alpha(values)[0] if args.fit else args.alpha
+    alpha = smoothing.fit_alpha(values)[0] if args.fit else getattr(args, "alpha", smoothing.DEFAULT_ALPHA)
     forecasts = smoothing.smooth(values, smoothing.SmoothingConfig(alpha=alpha)).tolist()
     lines = ["value,forecast"]
     for value, forecast in zip(values, forecasts[:-1]):
@@ -208,6 +209,7 @@ def _cmd_smooth(args: argparse.Namespace) -> tuple[str, str]:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> tuple[str, str]:
+    from . import diagnostics
     values = _read_value_column(args.input)
     result = diagnostics.acf_pacf(values, args.lags)
     box = diagnostics.ljung_box(values, args.lags)
@@ -220,6 +222,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> tuple[str, str]:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> tuple[str, str]:
+    from . import pipeline
     config = pipeline.load_config(args.config)
     datasets = pipeline.ingest(args.prices, args.capm, config)
     reports, totals = pipeline.score_portfolio(datasets, config)

@@ -522,6 +522,60 @@ def test_pipeline_run_loads_no_numpy_ma():
     assert result.stdout.splitlines()[-1] == "0 False"
 
 
+SURFACE_ARGS = ["surface", "--mu-min", "-1", "--mu-max", "1", "--mu-steps", "21", "--c-min", "-1", "--c-max", "1",
+                "--c-steps", "21", "--sigma", "0.045", "--T", "1", "--direction", "above"]
+SUBMODULES = ("conditional", "diagnostics", "errors", "gbm", "pipeline", "smoothing")
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (SURFACE_ARGS, ["driftbias._csv", "driftbias.diagnostics", "driftbias.gbm", "driftbias.pipeline",
+                        "driftbias.smoothing"]),
+        (pipeline_args(), ["driftbias.diagnostics"]),
+    ],
+)
+def test_a_command_loads_only_the_modules_it_runs(argv, unused):
+    # A cold start compiles and runs every module it imports.
+    code = "import sys; from driftbias import cli; print(cli.run(sys.argv[1:]), *sorted(sys.modules))"
+    result = run_process("-c", code, *argv)
+    assert result.returncode == 0, result.stderr
+    status, *loaded = result.stdout.splitlines()[-1].split()
+    assert status == "0" and "driftbias.conditional" in loaded
+    assert sorted(set(unused) & set(loaded)) == []
+
+
+def test_import_driftbias_loads_no_submodule():
+    code = "import sys, driftbias; print(sorted(m for m in sys.modules if m.startswith('driftbias')))"
+    result = run_process("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['driftbias']"
+
+
+@pytest.mark.parametrize("first", ["from driftbias import *", "dir(driftbias)", "driftbias.Surface", "driftbias.pipeline"])
+def test_the_package_serves_every_submodules_public_names(first):
+    # Whatever a fresh interpreter looks up first, the package then reads
+    # as it did when __init__ star-imported the six submodules.
+    code = f"""
+import importlib, driftbias
+namespace = {{"driftbias": driftbias}}
+exec({first!r}, namespace)
+exec("from driftbias import *", namespace)
+modules = [importlib.import_module(f"driftbias.{{name}}") for name in {SUBMODULES!r}]
+public = [name for module in modules for name in module.__all__]
+assert driftbias.__all__ == [*public, "__version__"], driftbias.__all__
+assert set(namespace) - {{"driftbias", "__builtins__"}} == {{*public, "__version__"}}
+for module in modules:
+    for name in module.__all__:
+        assert namespace[name] is getattr(driftbias, name) is getattr(module, name), name
+assert {{*public, *{SUBMODULES!r}, "__version__"}} <= set(dir(driftbias))
+print("ok")
+"""
+    result = run_process("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
+
+
 def test_pipeline_rejects_a_day_past_its_month_end_in_a_long_file(tmp_path):
     # numpy 2.4.6 crashes when it casts more than 500 date cells to datetime64[D]
     # and one of them is a day that does not exist.
