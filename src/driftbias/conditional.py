@@ -130,11 +130,13 @@ class Surface(Sequence[SurfaceCell]):
     degenerate: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.ndim(self.mu) != 1 or np.ndim(self.C) != 1:
-            raise ValueError(f"mu and C must be one-dimensional, got shapes {np.shape(self.mu)} and {np.shape(self.C)}")
-        grid = (np.size(self.mu), np.size(self.C))
+        for name in ("mu", "C", "expectation", "bias", "degenerate"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), None if name == "degenerate" else float))
+        if self.mu.ndim != 1 or self.C.ndim != 1:
+            raise ValueError(f"mu and C must be one-dimensional, got shapes {self.mu.shape} and {self.C.shape}")
+        grid = (self.mu.size, self.C.size)
         for name in ("expectation", "bias", "degenerate"):
-            if (shape := np.shape(getattr(self, name))) != grid:
+            if (shape := getattr(self, name).shape) != grid:
                 raise ValueError(f"{name} has shape {shape}, expected (len(mu), len(C)) = {grid}")
 
     def __len__(self) -> int:

@@ -420,6 +420,21 @@ def test_surface_reads_as_a_sequence_of_cells():
             surface[index]
 
 
+def test_a_surface_built_from_lists_reads_as_the_array_built_one():
+    surface = ce.bias_surface(np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 4), sigma=0.045, T=1.0, direction=ABOVE)
+    fields = ("mu", "C", "expectation", "bias", "degenerate")
+    listed = ce.Surface(*(getattr(surface, name).tolist() for name in fields))
+    assert surface.degenerate.any()
+    for name in fields:
+        assert isinstance(getattr(listed, name), np.ndarray)
+    # repr, because a degenerate cell's nan is unequal to itself.
+    assert [repr(listed[i]) for i in range(-len(surface), len(surface))] == [
+        repr(surface[i]) for i in range(-len(surface), len(surface))
+    ]
+    assert repr(listed[3:9:2]) == repr(surface[3:9:2])
+    assert ce.surface_csv(listed) == ce.surface_csv(surface)
+
+
 def test_surface_sequence_of_one_row():
     single = ce.bias_surface([0.1], [0.2], sigma=0.3, T=1.0, direction=BELOW)
     assert len(single) == 1 and list(single) == [single[0]] == [single[-1]] == single[:]
