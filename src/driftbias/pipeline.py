@@ -257,23 +257,13 @@ def capm_benchmark(risk_free: float, beta: float, market_return_expectation: flo
     return risk_free + beta * (market_return_expectation - risk_free)
 
 
-# Every function below that scores or threads gates works on columns: the
-# periods of one or many stocks, stock after stock, one element each. The
-# per-stock calls are the one-stock case of the same code.
-
-
-def _benchmark(
-    beta: float | np.ndarray, risk_free: np.ndarray, market: np.ndarray, config: PipelineConfig
-) -> np.ndarray:
-    """Each period's benchmark C: ``constant_c``, or the CAPM rate of the period's inputs."""
-    if config.benchmark_mode == "constant":
-        return np.full(risk_free.size, float(config.constant_c))
-    with np.errstate(over="ignore", invalid="ignore"):  # huge rates give C = +-inf or nan
-        return capm_benchmark(risk_free, beta, market)
+# Every function below that scores or gates works on columns: the periods
+# of one or many stocks, stock after stock, one element each. The per-stock
+# calls are the one-stock case of the same code.
 
 
 def _gates(
-    realized_return: np.ndarray, benchmark: np.ndarray, nu_hat: np.ndarray, sigma2_hat: np.ndarray
+    nu_hat: np.ndarray, sigma2_hat: np.ndarray, realized_return: np.ndarray, benchmark: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The next period's (invested, nu_tilde, degenerate) from each period's values.
 
@@ -294,18 +284,38 @@ def _gates(
     return invested, np.where(invested, expectation, 0.0), opened & ~invested
 
 
-def _thread_gates(
-    gates: tuple[np.ndarray, np.ndarray, np.ndarray], firsts: np.ndarray | int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each period's (invested, nu_tilde, degenerate): the gate of the period
-    before it in its stock. Stocks start at ``firsts``.
+def _periods(stocks: _Portfolio, valid: int, config: PipelineConfig) -> tuple[np.ndarray, ...]:
+    """Each period's (nu_hat, sigma2_hat, R, C, invested, nu_tilde, degenerate),
+    ``PeriodRecord``'s columns, for the first ``valid`` stocks.
 
-    A stock's first period has no prior performance: not invested, nu_tilde = 0.
+    C is ``constant_c``, or the CAPM rate of the period's inputs. A period's
+    gate is the one of the period before it in its stock; a stock's first
+    period has no prior performance: not invested, nu_tilde = 0.
+
+    Raises:
+        InsufficientDataError: a period with fewer than two returns.
     """
-    invested, nu_tilde, degenerate = (np.concatenate((values[:1], values[:-1])) for values in gates)
+    firsts = stocks.firsts[:valid]
+    counts = np.diff(stocks.firsts[: valid + 1])
+    periods = int(stocks.firsts[valid])
+    estimates = _estimate_segments(
+        stocks.closes[: stocks.offsets[periods]], np.diff(stocks.offsets[: periods + 1]),
+        np.repeat(stocks.step_h[:valid], counts),
+    )
+    if config.benchmark_mode == "constant":
+        benchmark = np.full(periods, float(config.constant_c))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # huge rates give C = +-inf or nan
+            benchmark = capm_benchmark(
+                stocks.risk_free[:periods], np.repeat(stocks.beta[:valid], counts),
+                stocks.market_return_expectation[:periods],
+            )
+    invested, nu_tilde, degenerate = (
+        np.concatenate((values[:1], values[:-1])) for values in _gates(*estimates, benchmark)
+    )
     invested[firsts] = degenerate[firsts] = False
     nu_tilde[firsts] = 0.0
-    return invested, nu_tilde, degenerate
+    return (*estimates, benchmark, invested, nu_tilde, degenerate)
 
 
 _FIT_GRID = np.sort(np.array(DEFAULT_FIT_GRID))
@@ -355,31 +365,6 @@ def _reports(
     return reports
 
 
-def _score(stocks: _Portfolio, valid: int, config: PipelineConfig, cause: str) -> list[ForecastReport]:
-    """The reports of the first ``valid`` stocks, each one's last period the
-    holdout; ``_refuse`` must find no fault in any of them. A squared
-    deviation that is not finite raises ValueError ending with ``cause``.
-
-    The gates are threaded through the holdouts too, so each raw forecast
-    is the nu_tilde of its stock's holdout.
-    """
-    firsts = stocks.firsts[: valid + 1]
-    counts = np.diff(firsts)
-    periods = int(firsts[-1])
-    nu_hat, sigma2_hat, realized = _estimate_segments(
-        stocks.closes[: stocks.offsets[periods]], np.diff(stocks.offsets[: periods + 1]),
-        np.repeat(stocks.step_h[:valid], counts),
-    )
-    benchmark = _benchmark(
-        np.repeat(stocks.beta[:valid], counts), stocks.risk_free[:periods],
-        stocks.market_return_expectation[:periods], config,
-    )
-    invested, nu_tilde, _ = _thread_gates(_gates(realized, benchmark, nu_hat, sigma2_hat), firsts[:-1])
-    holdout = firsts[1:] - 1
-    bias = np.delete(np.where(invested, nu_tilde - nu_hat, 0.0), holdout)
-    return _reports(stocks.stock_ids[:valid], bias, counts - 1, nu_tilde[holdout], nu_hat[holdout], config, cause)
-
-
 def build_period_records(
     data: StockDataset, config: PipelineConfig = PipelineConfig()
 ) -> list[PeriodRecord]:
@@ -401,11 +386,7 @@ def build_period_records(
         raise InsufficientDataError(
             f"stock {data.stock_id}: need at least 2 periods, got {data.n_periods}"
         )
-    nu_hat, sigma2_hat, realized = _estimate_segments(data.closes, np.diff(data.offsets), float(data.step_h))
-    risk_free, market = np.array([data.risk_free, data.market_return_expectation], dtype=float)
-    benchmark = _benchmark(float(data.beta), risk_free, market, config)
-    gates = _thread_gates(_gates(realized, benchmark, nu_hat, sigma2_hat), 0)
-    rows = zip(*(column.tolist() for column in (nu_hat, sigma2_hat, realized, benchmark, *gates)))
+    rows = zip(*(column.tolist() for column in _periods(_portfolio([data]), 1, config)))
     return [PeriodRecord(index, *row) for index, row in enumerate(rows)]
 
 
@@ -492,7 +473,15 @@ def score_portfolio(
         scorable = (np.diff(stocks.firsts) >= 4) & (shortest >= 2)
         valid = len(stocks) if scorable.all() else int(np.argmin(scorable))
         if valid:
-            reports = _score(stocks, valid, config, cause)
+            # The gates are threaded through the holdouts too, so each raw
+            # forecast is the nu_tilde of its stock's holdout.
+            holdout = stocks.firsts[1 : valid + 1] - 1
+            nu_hat, _, _, _, invested, nu_tilde, _ = _periods(stocks, valid, config)
+            bias = np.delete(np.where(invested, nu_tilde - nu_hat, 0.0), holdout)
+            reports = _reports(
+                stocks.stock_ids[:valid], bias, holdout - stocks.firsts[:valid], nu_tilde[holdout],
+                nu_hat[holdout], config, cause,
+            )
         if valid < len(stocks):
             _refuse(stocks, valid)
     # fsum is exact, so the totals do not depend on the interpreter's own float sum.

@@ -199,6 +199,28 @@ def test_score_portfolio_matches_per_stock_reference(case):
 @given(case=portfolios())
 def test_one_stock_calls_match_per_stock_reference(case):
     datasets, config = case
+    # The period columns of the whole portfolio, cut at each stock's
+    # boundary, are that stock's own records: its first period is not
+    # invested, and every degenerate flag is kept. A period with one return
+    # anywhere refuses the whole call, as it refuses its stock's records.
+    stocks = pipeline._portfolio(datasets)
+    columns = outcome(lambda: pipeline._periods(stocks, len(stocks), config))
+    expected = [
+        outcome(lambda: [bits(row) for row in reference_records(data, config)[0]])
+        for data in datasets
+        if data.n_periods >= 2
+    ]
+    faults = [reference for reference in expected if reference[0] != "ok"]
+    if faults:
+        assert columns == faults[0]
+    else:
+        cuts = stocks.firsts.tolist()
+        periods = [
+            ("ok", [bits(row) for row in zip(*(column[first:end].tolist() for column in columns[1]))])
+            for first, end in zip(cuts, cuts[1:])
+            if end - first >= 2
+        ]
+        assert periods == expected
     for data in datasets:
         if data.n_periods < 2:
             continue
