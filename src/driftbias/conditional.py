@@ -119,7 +119,8 @@ _SURFACE_CHUNK = 16_384
 class Surface(Sequence[SurfaceCell]):
     """A bias surface as arrays: ``mu`` and ``C`` are one-dimensional, and
     ``expectation``, ``bias`` and ``degenerate`` must have shape
-    ``(len(mu), len(C))``, with nan where a cell is degenerate.
+    ``(len(mu), len(C))``, with nan where a cell is degenerate; ``degenerate``
+    is kept as a bool mask, any nonzero value true.
     As a sequence it reads as SurfaceCell values in row-major order (mu
     outer, C inner), each built on demand."""
 
@@ -131,7 +132,7 @@ class Surface(Sequence[SurfaceCell]):
 
     def __post_init__(self) -> None:
         for name in ("mu", "C", "expectation", "bias", "degenerate"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), None if name == "degenerate" else float))
+            object.__setattr__(self, name, np.asarray(getattr(self, name), bool if name == "degenerate" else float))
         if self.mu.ndim != 1 or self.C.ndim != 1:
             raise ValueError(f"mu and C must be one-dimensional, got shapes {self.mu.shape} and {self.C.shape}")
         grid = (self.mu.size, self.C.size)
@@ -323,10 +324,9 @@ def surface_csv(surface: Surface) -> str:
     the part written is decoded once.
     """
     mu, c = format_g10(surface.mu), format_g10(surface.C)
-    degenerate = np.asarray(surface.degenerate, bool)
     step = max(1, _SURFACE_CHUNK // max(1, len(c)))
     header = b"mu,C,expectation,bias,flag\n"
-    text = np.empty(len(header) + degenerate.size * _LINE, np.uint8)
+    text = np.empty(len(header) + surface.degenerate.size * _LINE, np.uint8)
     text[:len(header)] = np.frombuffer(header, np.uint8)
     end = len(header)
     field = [slice(k * (WIDTH + 1), k * (WIDTH + 1) + WIDTH) for k in range(4)]
@@ -341,7 +341,7 @@ def surface_csv(surface: Surface) -> str:
         cells = chunk.reshape(-1, _LINE)
         cells[:, field[2]] = format_g10(surface.expectation[rows])
         cells[:, field[3]] = format_g10(surface.bias[rows])
-        cells[:, 4 * (WIDTH + 1):-1] = _FLAG_FIELDS[degenerate[rows].reshape(-1).view(np.uint8)]
+        cells[:, 4 * (WIDTH + 1):-1] = _FLAG_FIELDS[surface.degenerate[rows].reshape(-1).view(np.uint8)]
         flat = cells.reshape(-1)
         kept = flat[flat != 0]
         text[end:end + kept.size] = kept

@@ -64,9 +64,10 @@ def acf_pacf(series: Sequence[float], max_lag: int) -> AcfResult:
         raise ValueError(f"max_lag must be at least 1, got {max_lag}")
     if max_lag >= n:
         raise ValueError(f"max_lag must be smaller than the series length {n}, got {max_lag}")
-    # Every autocorrelation is a ratio of sums of products, so scaling a large
-    # series down by a power of two changes none of them and keeps the sums in range.
-    y = np.ldexp(y, -max(0, math.frexp(float(np.abs(y).max()))[1]))
+    # Every autocorrelation is a ratio of sums of products, so scaling the
+    # series by a power of two, to a largest value in [0.5, 1), changes none
+    # of them and keeps the sums of a huge or a tiny series in range.
+    y = np.ldexp(y, -math.frexp(float(np.abs(y).max()))[1])
     centered = y - y.mean()
     denominator = float(centered @ centered)
     if denominator == 0.0:

@@ -357,10 +357,14 @@ def test_large_surfaces_match_cellwise_reference(mu_steps, c_steps, direction):
 
 
 def test_surface_csv_reads_an_integer_mask():
+    # A mask of any numeric type reads as bool, any nonzero value degenerate,
+    # both in the CSV and when the surface is indexed.
     surface = ce.bias_surface(np.linspace(-1.0, 1.0, 21), np.linspace(-1.0, 1.0, 21), sigma=0.045, T=1.0, direction=ABOVE)
-    as_int = ce.Surface(surface.mu, surface.C, surface.expectation, surface.bias, surface.degenerate.astype(int))
     assert surface.degenerate.any()
-    assert ce.surface_csv(as_int) == ce.surface_csv(surface)
+    for mask in (surface.degenerate.astype(int), surface.degenerate.astype(float), 2 * surface.degenerate.astype(int)):
+        as_mask = ce.Surface(surface.mu, surface.C, surface.expectation, surface.bias, mask)
+        assert ce.surface_csv(as_mask) == ce.surface_csv(surface)
+        assert [cell.flag for cell in as_mask] == [cell.flag for cell in surface]
 
 
 def test_surface_csv_widest_lines():

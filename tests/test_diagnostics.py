@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -154,6 +155,19 @@ def test_acf_survives_huge_values():
         result = diagnostics.acf_pacf(scale * y, 2)
         assert result.acf == pytest.approx(expected.acf, rel=1e-14)
         assert result.pacf == pytest.approx(expected.pacf, rel=1e-14)
+
+
+# Scaled by 2**-600 the sums of products underflow, and by 2**-1060 the
+# values themselves are subnormal; either series once read as constant.
+@pytest.mark.parametrize("exponent", [-600, -1060])
+def test_acf_of_a_tiny_series_keeps_the_unscaled_bits(exponent):
+    y = [1.0, 2.0, 0.0, 3.0, 1.0, 4.0, 2.0, 5.0]
+    tiny = [math.ldexp(v, exponent) for v in y]
+    expected, result = diagnostics.acf_pacf(y, 3), diagnostics.acf_pacf(tiny, 3)
+    assert result.acf.tolist() == expected.acf.tolist()
+    assert result.pacf.tolist() == expected.pacf.tolist()
+    with pytest.warns(UserWarning, match="unreliable"):
+        assert diagnostics.ljung_box(tiny, 3) == diagnostics.ljung_box(y, 3)
 
 
 def test_acf_bounded_by_one():
