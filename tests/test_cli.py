@@ -74,14 +74,17 @@ def test_simulate_deterministic(capsys):
 
 
 def test_simulate_rejects_bad_arguments(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "simulate",
-        "--mu", "0.1", "--sigma", "-1", "--a0", "100", "--T", "1",
-        "--n", "10", "--seed", "1",
-    )
-    assert code == 2
-    assert err.startswith("error:")
+    valid = ["--mu", "0.1", "--sigma", "0.3", "--a0", "100", "--T", "1", "--n", "10", "--seed", "1"]
+    # A repeated flag overrides the valid value; the sigma checks come before the grid's.
+    for overrides, message in [
+        (["--sigma", "-1"], "sigma must be positive, got -1.0"),
+        (["--sigma", "0", "--a0", "-1"], "sigma must be positive, got 0.0"),
+        (["--mu", "nan", "--n", "0"], "mu and sigma must be finite, got mu = nan, sigma = 0.3"),
+        (["--n", "-1"], "n must be at least 1, got -1"),
+        (["--sigma", "nan"], "sigma must be positive, got nan"),
+    ]:
+        code, out, err = run_cli(capsys, "simulate", *valid, *overrides)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_simulate_estimate_round_trip(capsys, tmp_path):
