@@ -141,8 +141,7 @@ def _read_value_column(path: str) -> list[float]:
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[str, str]:
     from . import gbm
-    params = gbm.GbmParams(mu=args.mu, sigma=args.sigma)
-    path = gbm.simulate_gbm(params, a0=args.a0, T=args.T, n=args.n, seed=args.seed)
+    path = gbm.simulate_gbm(args.mu, args.sigma, a0=args.a0, T=args.T, n=args.n, seed=args.seed)
     return gbm.write_price_csv(path), ""
 
 

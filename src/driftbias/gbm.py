@@ -20,7 +20,6 @@ from ._csv import finite, invalid, read_rows
 from .errors import InsufficientDataError, ParseError
 
 __all__ = [
-    "GbmParams",
     "PricePath",
     "ReturnSeries",
     "EstimateResult",
@@ -33,29 +32,6 @@ __all__ = [
 ]
 
 PRICE_CSV_HEADER = "date_index,price"
-
-
-@dataclass(frozen=True)
-class GbmParams:
-    """Annualized drift and volatility of the price process.
-
-    ``mu`` is stored; the log-price drift ``nu`` is always derived from it,
-    so the two cannot drift apart.
-    """
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
-            raise ValueError(f"mu and sigma must be finite, got mu = {self.mu}, sigma = {self.sigma}")
-
-    @property
-    def nu(self) -> float:
-        """Drift of the log price, mu - sigma**2 / 2."""
-        return self.mu - 0.5 * self.sigma * self.sigma
 
 
 @dataclass(frozen=True)
@@ -128,7 +104,7 @@ class EstimateResult:
             raise ValueError("sigma2_hat cannot be negative")
 
 
-def simulate_gbm(params: GbmParams, a0: float, T: float, n: int, seed: int) -> PricePath:
+def simulate_gbm(mu: float, sigma: float, a0: float, T: float, n: int, seed: int) -> PricePath:
     """Simulate one GBM path with the exact log-normal update.
 
     Each step multiplies the previous price by exp(nu*h + sigma*sqrt(h)*xi)
@@ -137,7 +113,8 @@ def simulate_gbm(params: GbmParams, a0: float, T: float, n: int, seed: int) -> P
     via its ziggurat method); the same seed reproduces the path bit for bit.
 
     Args:
-        params: Drift and volatility of the process.
+        mu: Annualized drift, finite.
+        sigma: Annualized volatility, finite and > 0.
         a0: Starting price, > 0.
         T: Horizon in years, > 0.
         n: Number of steps, >= 1; the path holds n + 1 prices.
@@ -146,12 +123,12 @@ def simulate_gbm(params: GbmParams, a0: float, T: float, n: int, seed: int) -> P
     Returns:
         The simulated PricePath.
     """
-    _validate_grid(a0, T, n)
+    _validate(mu, sigma, a0, T, n)
     rng = np.random.default_rng(seed)
-    return path_from_normals(params, a0, T, rng.standard_normal(n))
+    return path_from_normals(mu, sigma, a0, T, rng.standard_normal(n))
 
 
-def path_from_normals(params: GbmParams, a0: float, T: float, normals: np.ndarray) -> PricePath:
+def path_from_normals(mu: float, sigma: float, a0: float, T: float, normals: np.ndarray) -> PricePath:
     """Deterministic core of the simulator; also the test hook.
 
     Feeding an all-zero ``normals`` array yields the noise-free path
@@ -162,14 +139,14 @@ def path_from_normals(params: GbmParams, a0: float, T: float, normals: np.ndarra
     """
     normals = np.asarray(normals, dtype=float)
     n = normals.size
-    _validate_grid(a0, T, n)
+    _validate(mu, sigma, a0, T, n)
     h = T / n
     with np.errstate(over="ignore", invalid="ignore"):
-        increments = params.nu * h + params.sigma * math.sqrt(h) * normals
+        increments = (mu - 0.5 * sigma * sigma) * h + sigma * math.sqrt(h) * normals
         prices = np.concatenate(([a0], a0 * np.exp(np.cumsum(increments))))
     if not ((prices > 0).all() and np.isfinite(prices).all()):
         raise ValueError(
-            f"the simulated prices leave the float range: mu = {params.mu}, T = {T}, a0 = {a0}"
+            f"the simulated prices leave the float range: mu = {mu}, T = {T}, a0 = {a0}"
         )
     return PricePath(step_h=h, prices=prices)
 
@@ -299,7 +276,11 @@ def _check_step(step_h: float) -> None:
         raise ValueError(f"step_h must be finite, got {step_h}")
 
 
-def _validate_grid(a0: float, T: float, n: int) -> None:
+def _validate(mu: float, sigma: float, a0: float, T: float, n: int) -> None:
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(mu) and math.isfinite(sigma)):
+        raise ValueError(f"mu and sigma must be finite, got mu = {mu}, sigma = {sigma}")
     if not a0 > 0:
         raise ValueError(f"a0 must be positive, got {a0}")
     if not T > 0:

@@ -125,9 +125,10 @@ def _fit_alphas(y: np.ndarray, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarr
         Each row's index of its winning alpha, its SSE, and the power-of-two
         exponent e that the SSE is scaled down by (it is SSE / 4**e).
     """
-    # The recurrence is linear in y, so scaling a large row down by a power
-    # of two scales its errors exactly and keeps its sums of squares in range.
-    exponent = np.maximum(0, np.frexp(np.abs(y).max(axis=1))[1])
+    # The recurrence is linear in y, so scaling a row by a power of two, to a
+    # largest value in [0.5, 1), scales its errors exactly and keeps the sums
+    # of squares of a huge or a tiny row in range.
+    exponent = np.frexp(np.abs(y).max(axis=1))[1]
     y = np.ldexp(y, -exponent[:, None])
     by_time = y.T[:, :, None]
     forecasts = _forecasts(by_time, alphas, by_time[0])[:-1].transpose(1, 2, 0)

@@ -35,7 +35,6 @@ from test_diagnostics import AR1_FIXTURE, AR1_Q_ORACLE
 from driftbias import (
     ConditionalQuery,
     Direction,
-    GbmParams,
     PipelineConfig,
     SmoothingConfig,
     asymptotic_limit,
@@ -161,14 +160,13 @@ def test_long_horizon_convergence_to_asymptotic_limits():
 
 
 def test_variance_estimator_concentrates_with_sample_size():
-    params = GbmParams(mu=0.1, sigma=0.3)
     true_sigma2 = 0.09
     seeds = 200
     errors = {}
     for steps, base in ((250, 90_000), (10_000, 95_000)):
         total = 0.0
         for i in range(seeds):
-            path = simulate_gbm(params, 100.0, 1.0, steps, seed=base + i)
+            path = simulate_gbm(0.1, 0.3, 100.0, 1.0, steps, seed=base + i)
             estimate = estimate_unconditional(log_returns(path))
             total += abs(estimate.sigma2_hat - true_sigma2)
         errors[steps] = total / seeds
@@ -304,13 +302,13 @@ def _study_seed_totals(seed: int) -> tuple[float, float, float]:
     totals = np.zeros(3)
     innovation_scale = STUDY_SIGMA_U * math.sqrt(1.0 - STUDY_RHO * STUDY_RHO)
     for k in range(STUDY_STOCKS):
-        params = GbmParams(mu=0.06 + 0.01 * k, sigma=0.1 + 0.02 * k)
+        mu, sigma = 0.06 + 0.01 * k, 0.1 + 0.02 * k
         rng = np.random.default_rng((ACCEPT_SEED, seed, k))
         # Only the holdout period's path is simulated: the bias series is injected.
         holdout_nu_hat = estimate_unconditional(
             log_returns(
                 simulate_gbm(
-                    params, 100.0, 1.0, 252,
+                    mu, sigma, 100.0, 1.0, 252,
                     seed=np.random.SeedSequence((ACCEPT_SEED, seed, k, STUDY_PERIODS)),
                 )
             )
@@ -325,7 +323,7 @@ def _study_seed_totals(seed: int) -> tuple[float, float, float]:
         report = score_records(
             f"{k:06d}",
             biases,
-            raw_next=params.nu + bias_next,
+            raw_next=mu - 0.5 * sigma * sigma + bias_next,
             holdout_nu_hat=holdout_nu_hat,
             config=PipelineConfig(),
         )

@@ -102,7 +102,7 @@ def test_simulate_estimate_round_trip(capsys, tmp_path):
     header, row = out.splitlines()
     assert header == "nu_hat,sigma2_hat,n,T"
     nu_hat, sigma2_hat, n, T = row.split(",")
-    path = gbm.simulate_gbm(gbm.GbmParams(0.1, 0.3), 100.0, 1.0, 252, 9)
+    path = gbm.simulate_gbm(0.1, 0.3, 100.0, 1.0, 252, 9)
     expected = gbm.estimate_unconditional(gbm.log_returns(path))
     assert float(nu_hat) == expected.nu_hat
     assert float(sigma2_hat) == expected.sigma2_hat
@@ -325,7 +325,7 @@ def test_pipeline_out_flag(capsys, tmp_path):
 
 def small_inputs(tmp_path):
     """A 60-step simulated price path and a value file of its closes."""
-    path = gbm.simulate_gbm(gbm.GbmParams(mu=0.1, sigma=0.3), a0=100.0, T=1.0, n=60, seed=1)
+    path = gbm.simulate_gbm(0.1, 0.3, a0=100.0, T=1.0, n=60, seed=1)
     prices = tmp_path / "path.csv"
     prices.write_text(gbm.write_price_csv(path))
     return str(prices), write_values(tmp_path, [repr(price) for price in path.prices.tolist()])

@@ -11,61 +11,57 @@ from driftbias.errors import InsufficientDataError, ParseError
 
 
 def test_params_reject_nonpositive_sigma():
-    with pytest.raises(ValueError):
-        gbm.GbmParams(mu=0.1, sigma=0.0)
-    with pytest.raises(ValueError):
-        gbm.GbmParams(mu=0.1, sigma=-0.3)
+    for sigma in (0.0, -0.3):
+        with pytest.raises(ValueError, match=f"sigma must be positive, got {sigma}"):
+            gbm.simulate_gbm(0.1, sigma, a0=100.0, T=1.0, n=10, seed=1)
+        with pytest.raises(ValueError, match=f"sigma must be positive, got {sigma}"):
+            gbm.path_from_normals(0.1, sigma, a0=100.0, T=1.0, normals=np.zeros(4))
 
 
 @pytest.mark.parametrize("mu, sigma", [(math.nan, 0.3), (math.inf, 0.3), (0.1, math.inf)])
 def test_params_reject_non_finite(mu, sigma):
     with pytest.raises(ValueError, match="finite"):
-        gbm.GbmParams(mu=mu, sigma=sigma)
-
-
-def test_nu_is_mu_minus_half_variance():
-    params = gbm.GbmParams(mu=0.1, sigma=0.3)
-    assert params.nu == 0.1 - 0.045
+        gbm.simulate_gbm(mu, sigma, a0=100.0, T=1.0, n=10, seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        gbm.path_from_normals(mu, sigma, a0=100.0, T=1.0, normals=np.zeros(4))
 
 
 def test_simulate_rejects_bad_arguments():
-    params = gbm.GbmParams(mu=0.1, sigma=0.3)
     with pytest.raises(ValueError):
-        gbm.simulate_gbm(params, a0=-1.0, T=1.0, n=10, seed=1)
+        gbm.simulate_gbm(0.1, 0.3, a0=-1.0, T=1.0, n=10, seed=1)
     with pytest.raises(ValueError):
-        gbm.simulate_gbm(params, a0=100.0, T=0.0, n=10, seed=1)
+        gbm.simulate_gbm(0.1, 0.3, a0=100.0, T=0.0, n=10, seed=1)
     with pytest.raises(ValueError):
-        gbm.simulate_gbm(params, a0=100.0, T=1.0, n=0, seed=1)
+        gbm.simulate_gbm(0.1, 0.3, a0=100.0, T=1.0, n=0, seed=1)
     with pytest.raises(ValueError, match="finite"):
-        gbm.simulate_gbm(params, a0=math.inf, T=1.0, n=10, seed=1)
+        gbm.simulate_gbm(0.1, 0.3, a0=math.inf, T=1.0, n=10, seed=1)
     with pytest.raises(ValueError, match="finite"):
-        gbm.simulate_gbm(params, a0=100.0, T=math.inf, n=10, seed=1)
+        gbm.simulate_gbm(0.1, 0.3, a0=100.0, T=math.inf, n=10, seed=1)
 
 
 def test_zero_noise_path_grows_at_nu():
-    # All-zero normals isolate the deterministic part of the update.
-    params = gbm.GbmParams(mu=0.1, sigma=0.3)
-    path = gbm.path_from_normals(params, a0=100.0, T=1.0, normals=np.zeros(4))
+    # All-zero normals isolate the deterministic part of the update, whose
+    # log drift is nu = mu - sigma**2 / 2 = 0.1 - 0.045.
+    path = gbm.path_from_normals(0.1, 0.3, a0=100.0, T=1.0, normals=np.zeros(4))
     assert path.prices[-1] == pytest.approx(100.0 * math.exp(0.055), rel=1e-12)
 
 
 def test_simulate_matches_exact_update_scheme():
     # Reconstruct the path from the same seeded stream; must match bit for bit.
-    params = gbm.GbmParams(mu=0.1, sigma=0.3)
-    path = gbm.simulate_gbm(params, a0=100.0, T=1.0, n=252, seed=42)
+    mu, sigma = 0.1, 0.3
+    path = gbm.simulate_gbm(mu, sigma, a0=100.0, T=1.0, n=252, seed=42)
     xi = np.random.default_rng(42).standard_normal(252)
     h = 1.0 / 252.0
-    increments = params.nu * h + params.sigma * math.sqrt(h) * xi
+    increments = (mu - 0.5 * sigma * sigma) * h + sigma * math.sqrt(h) * xi
     expected = 100.0 * np.exp(np.cumsum(increments))
     assert path.prices[0] == 100.0
     assert np.array_equal(path.prices[1:], expected)
 
 
 def test_simulate_is_deterministic_per_seed():
-    params = gbm.GbmParams(mu=0.1, sigma=0.3)
-    a = gbm.simulate_gbm(params, a0=100.0, T=1.0, n=100, seed=7)
-    b = gbm.simulate_gbm(params, a0=100.0, T=1.0, n=100, seed=7)
-    c = gbm.simulate_gbm(params, a0=100.0, T=1.0, n=100, seed=8)
+    a = gbm.simulate_gbm(0.1, 0.3, a0=100.0, T=1.0, n=100, seed=7)
+    b = gbm.simulate_gbm(0.1, 0.3, a0=100.0, T=1.0, n=100, seed=7)
+    c = gbm.simulate_gbm(0.1, 0.3, a0=100.0, T=1.0, n=100, seed=8)
     assert np.array_equal(a.prices, b.prices)
     assert not np.array_equal(a.prices, c.prices)
     assert gbm.write_price_csv(a) == gbm.write_price_csv(b)
@@ -81,14 +77,15 @@ def test_substreams_are_deterministic_and_distinct():
 
 def test_terminal_log_return_moments():
     # Z_T - Z_0 ~ N(nu*T, sigma^2*T); check both moments over many paths.
-    params = gbm.GbmParams(mu=0.1, sigma=0.3)
+    mu, sigma = 0.1, 0.3
+    nu = mu - 0.5 * sigma * sigma
     n_paths = 100_000
     rng = np.random.default_rng(substream(2024, 0))
     xi = rng.standard_normal((n_paths, 4))
     h = 0.25
-    z = np.sum(params.nu * h + params.sigma * math.sqrt(h) * xi, axis=1)
-    se = params.sigma / math.sqrt(n_paths)
-    assert abs(z.mean() - params.nu) <= 3.0 * se
+    z = np.sum(nu * h + sigma * math.sqrt(h) * xi, axis=1)
+    se = sigma / math.sqrt(n_paths)
+    assert abs(z.mean() - nu) <= 3.0 * se
     assert abs(z.var(ddof=1) - 0.09) <= 0.05 * 0.09
 
 
@@ -194,8 +191,7 @@ def test_estimate_segments_needs_two_returns_per_segment():
 )
 def test_nu_hat_equals_endpoint_slope(seed, n):
     # Algebraic identity: nu_hat reduces to the endpoint log-price slope.
-    params = gbm.GbmParams(mu=0.08, sigma=0.25)
-    path = gbm.simulate_gbm(params, a0=50.0, T=0.5, n=n, seed=seed)
+    path = gbm.simulate_gbm(0.08, 0.25, a0=50.0, T=0.5, n=n, seed=seed)
     result = gbm.estimate_unconditional(gbm.log_returns(path))
     slope = (math.log(path.prices[-1]) - math.log(path.prices[0])) / 0.5
     assert result.nu_hat == pytest.approx(slope, rel=1e-9, abs=1e-12)
@@ -203,11 +199,10 @@ def test_nu_hat_equals_endpoint_slope(seed, n):
 
 def test_sigma2_estimate_concentrates_near_truth():
     # sigma2_hat within 5% of 0.09 in at least 99% of seeds at n = 10^4.
-    params = gbm.GbmParams(mu=0.1, sigma=0.3)
     hits = 0
     trials = 300
     for seed in range(trials):
-        path = gbm.simulate_gbm(params, a0=100.0, T=1.0, n=10_000, seed=substream(5150, seed))
+        path = gbm.simulate_gbm(0.1, 0.3, a0=100.0, T=1.0, n=10_000, seed=substream(5150, seed))
         result = gbm.estimate_unconditional(gbm.log_returns(path))
         if abs(result.sigma2_hat - 0.09) <= 0.05 * 0.09:
             hits += 1
@@ -215,8 +210,7 @@ def test_sigma2_estimate_concentrates_near_truth():
 
 
 def test_price_csv_round_trip(tmp_path):
-    params = gbm.GbmParams(mu=0.1, sigma=0.3)
-    path = gbm.simulate_gbm(params, a0=100.0, T=1.0, n=25, seed=3)
+    path = gbm.simulate_gbm(0.1, 0.3, a0=100.0, T=1.0, n=25, seed=3)
     text = gbm.write_price_csv(path)
     assert text.splitlines()[0] == "date_index,price"
     target = tmp_path / "prices.csv"

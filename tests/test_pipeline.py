@@ -191,15 +191,15 @@ def test_zero_variance_period_flags_degenerate():
 def test_invested_fraction_matches_normal_quantile():
     # With C one standard deviation below the mean return, each gate opens
     # with probability Phi(1); check the empirical fraction across seeds.
-    params = gbm.GbmParams(mu=0.1, sigma=0.3)
+    mu, sigma = 0.1, 0.3
     config = pipeline.PipelineConfig(
-        benchmark_mode="constant", constant_c=params.nu - 0.3, h_per_year=16
+        benchmark_mode="constant", constant_c=mu - 0.5 * sigma * sigma - 0.3, h_per_year=16
     )
     opened = 0
     total = 0
     for seed in range(500):
         paths = tuple(
-            gbm.simulate_gbm(params, 100.0, 1.0, 16, substream(777, 6 * seed + i))
+            gbm.simulate_gbm(mu, sigma, 100.0, 1.0, 16, substream(777, 6 * seed + i))
             for i in range(6)
         )
         data = dataset_from_paths(paths, "mc")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -171,14 +173,20 @@ def test_fit_alpha_default_grid():
 
 
 def per_alpha_fit(y, grid):
-    """Reference fit: one smooth() per candidate, first strict minimum wins."""
+    """Reference fit: one smooth() per candidate, first strict minimum wins.
+
+    The series is scaled by a power of two to a largest value in [0.5, 1)
+    before its sums, as fit_alpha does, and the SSE scaled back.
+    """
+    exponent = math.frexp(float(np.abs(y).max()))[1]
+    y = np.ldexp(y, -exponent)
     best = None
     for alpha in sorted(grid):
-        errors = np.asarray(y) - smoothing.smooth(y, smoothing.SmoothingConfig(alpha))[:-1]
+        errors = y - smoothing.smooth(y, smoothing.SmoothingConfig(alpha))[:-1]
         sse = float(errors @ errors)
         if best is None or sse < best[1]:
             best = (alpha, sse)
-    return best
+    return best[0], math.ldexp(best[1], 2 * exponent)
 
 
 @given(st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=120))
@@ -191,9 +199,23 @@ def test_fit_alpha_matches_per_alpha_reference(y):
 
 @given(st.lists(st.floats(-0.4, 0.4), min_size=3, max_size=60))
 def test_fit_alpha_sse_sums_each_error_row_contiguously(y):
-    # Below 0.5 in magnitude no scaling applies; the winner's SSE must be
-    # np.vecdot of its contiguous error row bit for bit, as a strided row
+    # The winner's SSE must be np.vecdot of its contiguous error row, of the
+    # series scaled as fit_alpha scales it, bit for bit, as a strided row
     # sums in another order.
     alpha, sse = smoothing.fit_alpha(y)
-    errors = np.asarray(y) - smoothing.smooth(y, smoothing.SmoothingConfig(alpha))[:-1]
-    assert sse == float(np.vecdot(errors, errors))
+    exponent = math.frexp(float(np.abs(y).max()))[1]
+    scaled = np.ldexp(y, -exponent)
+    errors = scaled - smoothing.smooth(scaled, smoothing.SmoothingConfig(alpha))[:-1]
+    assert sse == math.ldexp(float(np.vecdot(errors, errors)), 2 * exponent)
+
+
+def test_fit_alpha_is_scale_free():
+    # A walk scaled by a power of two, into the subnormal range too, fits the
+    # unscaled alpha. Left unscaled, a tiny walk's squared errors underflow
+    # and it fits the grid's smallest alpha.
+    walks = np.cumsum(np.random.default_rng(1).standard_normal((200, 20)), axis=1)
+    for walk in walks:
+        alpha, sse = smoothing.fit_alpha(walk)
+        for exponent in (-1040, -600, -3):
+            assert smoothing.fit_alpha(np.ldexp(walk, exponent))[0] == alpha
+        assert smoothing.fit_alpha(np.ldexp(walk, -3))[1] == math.ldexp(sse, -6)
